@@ -15,7 +15,8 @@ Two entry points:
   sweep, default up to one million jobs, with ``--record``/``--against``
   wiring into the same :class:`repro.obs.baseline.BaselineStore` file
   the ``repro bench`` CI gate uses (tier ``cluster-throughput``, keys
-  ``<policy>@<n_jobs>``).
+  ``<policy>@<n_jobs>``).  ``--repeats k`` times each cell k times and
+  stores every sample; the table and the gate use their median.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from conftest import emit
 from repro import obs
 from repro.cluster import ClusterSimulator, synthetic_workload
 from repro.exp.reporting import rows_table
-from repro.obs.baseline import BaselineStore
+from repro.obs.baseline import BaselineStore, median
 
 N_GPUS = 32
 POLICIES = ("fifo", "backfill", "edf", "fairshare", "conservative",
@@ -106,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         help="cap per-policy sizes; only the reference policy (backfill) "
              "runs the sizes above it",
     )
+    parser.add_argument("--repeats", type=int, default=1, metavar="K",
+                        help="time each cell K times; every sample is kept")
     parser.add_argument("--record", metavar="PATH",
                         help="record medians into this baseline store")
     parser.add_argument("--against", metavar="PATH",
@@ -114,22 +117,30 @@ def main(argv: list[str] | None = None) -> int:
                         help="regression threshold for --against")
     args = parser.parse_args(argv)
 
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
     rows: list[dict] = []
+    timings: dict[str, list[float]] = {}
     for n_jobs in args.sizes:
         for policy in args.policies:
             if n_jobs > args.max_policy_size and policy != "backfill":
                 continue
-            row = measure(policy, n_jobs, args.n_gpus, args.seed)
-            rows.append(row)
-            print(
-                f"{policy:>14} {n_jobs:>9} jobs: {row['wall_s']:8.2f}s "
-                f"({row['jobs_per_s']:>9.0f} jobs/s)",
-                flush=True,
-            )
+            samples = timings.setdefault(f"{policy}@{n_jobs}", [])
+            for _ in range(args.repeats):
+                row = measure(policy, n_jobs, args.n_gpus, args.seed)
+                samples.append(row["wall_s"])
+                print(
+                    f"{policy:>14} {n_jobs:>9} jobs: {row['wall_s']:8.2f}s "
+                    f"({row['jobs_per_s']:>9.0f} jobs/s)",
+                    flush=True,
+                )
+            wall = median(samples)
+            rows.append({"policy": policy, "n_jobs": n_jobs, "wall_s": wall,
+                         "jobs_per_s": n_jobs / wall if wall > 0 else 0.0})
     print()
     print(throughput_table(rows))
 
-    timings = {f"{r['policy']}@{r['n_jobs']}": [r["wall_s"]] for r in rows}
     status = 0
     if args.against:
         report = BaselineStore.load(args.against).compare(

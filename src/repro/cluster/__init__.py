@@ -5,10 +5,11 @@ finishing at the same time resulted in GPU availability issues" and proposes
 "staging GPU result collection across non-overlapping batches".  This package
 reproduces that finding with a layered scheduling engine:
 
-* **engine** — a deterministic event queue
-  (:mod:`repro.cluster.engine`), a reservation calendar of future free
-  capacity (:mod:`repro.cluster.calendar`), and the simulator driving
-  them (:mod:`repro.cluster.scheduler`);
+* **engine** — the simulator (:mod:`repro.cluster.scheduler`), whose
+  loop merges sorted arrivals with a heap of running jobs, a generic
+  deterministic event queue (:mod:`repro.cluster.engine`), and a
+  reservation calendar of future free capacity built on demand for the
+  policies that read it (:mod:`repro.cluster.calendar`);
 * **policies** — FIFO, EDF, fair-share, EASY backfill, conservative
   backfill, and hybrid-k backfill behind one pluggable
   :class:`~repro.cluster.scheduling.SchedulingPolicy` protocol and a
@@ -21,7 +22,7 @@ reproduces that finding with a layered scheduling engine:
 """
 
 from repro.cluster.calendar import ReservationCalendar
-from repro.cluster.engine import EventQueue, ScheduledEvent
+from repro.cluster.engine import EventQueue
 from repro.cluster.jobs import Job, JobRecord, JobState
 from repro.cluster.metrics import (
     ScheduleMetrics,
@@ -54,7 +55,6 @@ from repro.cluster.workload import (
 
 __all__ = [
     "EventQueue",
-    "ScheduledEvent",
     "ReservationCalendar",
     "Job",
     "JobRecord",

@@ -13,11 +13,11 @@ reservation-based policy:
 * :meth:`earliest_fit` — the earliest start time at which a job's whole
   window fits, used to place EASY/conservative/hybrid-k reservations.
 
-Breakpoint insertion uses :func:`bisect.insort` (O(log n) search plus a
-memmove), window scans touch only the segments they overlap, and
-:meth:`prune` folds breakpoints behind the advancing simulation clock so
-the timeline length tracks *concurrent* commitments, not total jobs —
-that is what keeps the DES near-linear out to millions of jobs.
+Breakpoint insertion is a bisect search plus a list insert, and window
+scans touch only the segments they overlap.  The simulator builds a fresh
+calendar from its running jobs whenever a policy asks for one
+(:attr:`~repro.cluster.scheduler.ClusterSimulator.calendar`), so a
+timeline holds pool-capacity commitments plus one plan's reservations.
 
 Capacity is two-dimensional (GPUs plus memory) per the
 :class:`~repro.cluster.resources.ResourceVector` convention: a memory

@@ -2,29 +2,20 @@
 
 A minimal, deterministic event queue: events fire in (time, priority,
 sequence) order, so simultaneous events have a total order and simulations
-replay identically.  The queue is the only time source — there is no global
-clock to drift.
+replay identically.  Heap entries are plain ``(time, priority, sequence,
+action)`` tuples, which compare in C; the unique sequence number means the
+action itself is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["ScheduledEvent", "EventQueue"]
+__all__ = ["EventQueue"]
 
-
-@dataclass(order=True, frozen=True)
-class ScheduledEvent:
-    """An event in the queue; comparison order defines execution order."""
-
-    time: float
-    priority: int
-    sequence: int
-    action: Callable[[], Any] = field(compare=False)
-    label: str = field(compare=False, default="")
+Event = tuple[float, int, int, Callable[[], Any]]
 
 
 class EventQueue:
@@ -43,7 +34,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[Event] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._fired = 0
@@ -63,36 +54,27 @@ class EventQueue:
         action: Callable[[], Any],
         *,
         priority: int = 0,
-        label: str = "",
-    ) -> ScheduledEvent:
+    ) -> Event:
         """Enqueue ``action`` to fire at ``time``.
 
-        ``priority`` breaks ties at equal times (lower fires first): the
-        scheduler uses this to process completions before submissions at the
-        same instant, so freed GPUs are visible to newly queued jobs.
+        ``priority`` breaks ties at equal times (lower fires first).
         """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        event = ScheduledEvent(
-            time=float(time),
-            priority=priority,
-            sequence=next(self._counter),
-            action=action,
-            label=label,
-        )
+        event = (float(time), priority, next(self._counter), action)
         heapq.heappush(self._heap, event)
         return event
 
-    def step(self) -> ScheduledEvent | None:
+    def step(self) -> Event | None:
         """Fire the next event; return it, or None if the queue is empty."""
         if not self._heap:
             return None
         event = heapq.heappop(self._heap)
-        self._now = event.time
+        self._now = event[0]
         self._fired += 1
-        event.action()
+        event[3]()
         return event
 
     def run(self, *, until: float | None = None, max_events: int = 10_000_000) -> int:
@@ -102,7 +84,7 @@ class EventQueue:
         """
         fired = 0
         while self._heap:
-            if until is not None and self._heap[0].time > until:
+            if until is not None and self._heap[0][0] > until:
                 break
             if fired >= max_events:
                 raise RuntimeError(

@@ -1,13 +1,16 @@
 """The scheduling engine: a slurm-like DES over pluggable policies.
 
-The simulator is three layers now:
+The simulator is three layers:
 
-* **engine** (this module + :mod:`repro.cluster.engine` +
-  :mod:`repro.cluster.calendar`) — the deterministic event queue, a
-  lazily-pruned end-time heap indexing running jobs, and an incrementally
-  maintained :class:`~repro.cluster.calendar.ReservationCalendar` of
-  future free capacity, so completion handling is O(log n) and
-  ``earliest_fit`` queries never rescan the job list;
+* **engine** (this module) — one loop that merges the arrivals, sorted
+  by ``(submit_time, list index)``, with a heap of running jobs keyed by
+  ``(end_time, start sequence)``.  At each instant it fires the
+  completions, then the submissions, then a single dispatch pass, so
+  freed GPUs are visible to new arrivals and a burst of events costs one
+  scheduling pass.  The heap holds at most pool-capacity jobs; the
+  :class:`~repro.cluster.calendar.ReservationCalendar` of future free
+  capacity is built from it on demand, only for the policies that read
+  it (:attr:`ClusterSimulator.calendar`);
 * **policies** (:mod:`repro.cluster.scheduling`) — FIFO, EDF, fair-share,
   EASY backfill, conservative backfill, and hybrid-k backfill behind one
   :class:`~repro.cluster.scheduling.SchedulingPolicy` protocol;
@@ -27,15 +30,19 @@ The simulator narrates itself through :mod:`repro.obs`: ``job_submit`` /
 times, ``job_preempt`` records a reservation revocation (conservative and
 hybrid-k under non-FIFO ordering may push a held reservation later when
 a higher-priority arrival displaces it), and a ``cluster_run_start`` /
-``cluster_run_finish`` pair frames each ``run``.
+``cluster_run_finish`` pair frames each ``run``.  The engine counters
+(events fired, dispatch passes, plan calls, backfill candidates scanned)
+ride in the volatile ``wall`` half of ``cluster_run_finish``.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 import time
 from collections import deque
+from operator import itemgetter
 
 from repro import obs
 from repro.cluster.calendar import ReservationCalendar
@@ -45,12 +52,6 @@ from repro.cluster.resources import GPUPool
 from repro.cluster.scheduling import SchedulingPolicy, get_policy
 
 __all__ = ["SchedulerPolicy", "ClusterSimulator"]
-
-# Event priorities: completions must be processed before submissions at the
-# same instant so freed GPUs are visible, and dispatch runs last.
-_PRIORITY_COMPLETE = 0
-_PRIORITY_SUBMIT = 1
-_PRIORITY_DISPATCH = 2
 
 
 class SchedulerPolicy(enum.Enum):
@@ -112,23 +113,24 @@ class ClusterSimulator:
         self.pool = GPUPool(n_gpus, mem_capacity=mem_capacity)
         self.policy = policy
         self._policy = get_policy(policy)
-        self.calendar = ReservationCalendar(n_gpus, mem_capacity)
         self.queue: deque[JobRecord] = deque()
+        # The clock and the event counter; arrivals and completions live
+        # in the simulator's own structures (see ``_simulate``).
         self.events = EventQueue()
-        # Running jobs indexed by completion time: a lazily-pruned heap of
-        # [end_time, start_seq, record].  Completions pop the top instead
-        # of rebuilding a list (the seed's O(n^2) path); stale entries
-        # (already-completed records) are skipped when read.
+        # Running jobs as a heap of (end_time, start_seq, record): the
+        # pending completions, in the order they fire.
         self._running: list[tuple[float, int, JobRecord]] = []
         self._start_seq = 0
         self._records: dict[int, JobRecord] = {}
-        self._dispatch_scheduled = False
         self._usage: dict[str, float] = {}  # project -> committed GPU-hours
         self._telemetry = False  # sampled per run()
+        self.dispatches = 0
+        self.plan_calls = 0
+        self.backfill_candidates_scanned = 0  # incremented by policy plans
 
     @property
     def now(self) -> float:
-        """Current simulation time (the event queue is the only clock)."""
+        """Current simulation time."""
         return self.events.now
 
     @property
@@ -147,61 +149,75 @@ class ClusterSimulator:
         Ties keep start order (the heap carries a start sequence), which
         matches the seed's stable sort over its running list.
         """
-        return [
-            (end, record.job.n_gpus)
-            for end, _seq, record in sorted(self._running)
-            if record.state is JobState.RUNNING
-        ]
+        return [(end, record.job.n_gpus)
+                for end, _seq, record in sorted(self._running)]
+
+    @property
+    def calendar(self) -> ReservationCalendar:
+        """The running jobs' future capacity, as a fresh calendar.
+
+        Built per call from the running heap (at most pool-capacity
+        jobs), so callers may overlay reservations on it directly.  Jobs
+        are added in start order: each segment's memory is then the same
+        float sum an incrementally maintained calendar would hold.
+        """
+        calendar = ReservationCalendar(self.pool.capacity, self.pool.mem_capacity)
+        now = self.now
+        for end, _seq, record in sorted(self._running, key=itemgetter(1)):
+            calendar.add(now, end, record.job.n_gpus, record.job.mem)
+        return calendar
 
     def earliest_fit(self, n_gpus: int, duration: float,
                      mem: float = 0.0) -> float:
         """Earliest start at which the request fits the running commitments
-        (an engine-level query; policies overlay reservations on a copy)."""
+        (an engine-level query: no policy's reservations are included)."""
         return self.calendar.earliest_fit(n_gpus, duration, self.now, mem=mem)
 
-    # -- event actions -------------------------------------------------
+    # -- the event loop --------------------------------------------------
 
-    def _submit(self, record: JobRecord) -> None:
-        self.queue.append(record)
-        if self._telemetry:
-            obs.emit(
-                "job_submit",
-                {
-                    "job_id": record.job.job_id,
-                    "project": record.job.project,
-                    "n_gpus": record.job.n_gpus,
-                    "t": self.events.now,
-                },
-            )
-        self._request_dispatch()
-
-    def _complete(self, record: JobRecord) -> None:
-        now = self.events.now
-        record.state = JobState.COMPLETED
-        self.pool.release(record.job.n_gpus, now, record.job.mem)
-        # Lazily prune the end-time heap: completions fire in end-time
-        # order, so the finished record is at (or near) the top.
+    def _simulate(self, arrivals: list[JobRecord], until: float | None) -> None:
+        """Fire every event up to ``until``: at each instant the completions
+        (in end-time then start order), then the submissions (in arrival
+        order), then one dispatch pass.  A dispatch that starts a job ending
+        at the same instant (a float-absorbed duration) is followed by that
+        completion and another pass, as a (time, priority) heap would."""
+        events = self.events
         running = self._running
-        while running and running[0][2].state is JobState.COMPLETED:
-            heapq.heappop(running)
-        self.calendar.prune(now)
-        # Simulation times are part of the deterministic payload: they are a
-        # property of the workload and policy, not of the host that ran it.
-        if self._telemetry:
-            obs.emit("job_finish", {"job_id": record.job.job_id, "t": now})
-        self._request_dispatch()
-
-    def _request_dispatch(self) -> None:
-        # Coalesce: one dispatch pass per timestamp regardless of how many
-        # submissions/completions landed there.
-        if not self._dispatch_scheduled:
-            self._dispatch_scheduled = True
-            self.events.schedule(
-                self.events.now,
-                self._dispatch,
-                priority=_PRIORITY_DISPATCH,
-                label="dispatch",
-            )
+        pool = self.pool
+        telemetry = self._telemetry
+        times = [float(r.job.submit_time) for r in arrivals]
+        times.append(math.inf)  # sentinel: no arrival left
+        horizon = math.inf if until is None else until
+        i = completed = dispatches = 0
+        while True:
+            now = times[i]
+            if running and running[0][0] < now:
+                now = running[0][0]
+            if now == math.inf or now > horizon:
+                break
+            events._now = now
+            while running and running[0][0] == now:
+                record = heapq.heappop(running)[2]
+                record.state = JobState.COMPLETED
+                pool.release(record.job.n_gpus, now, record.job.mem)
+                completed += 1
+                # Simulation times are part of the deterministic payload:
+                # a property of the workload and policy, not of the host.
+                if telemetry:
+                    obs.emit("job_finish", {"job_id": record.job.job_id, "t": now})
+            while times[i] == now:
+                record = arrivals[i]
+                self.queue.append(record)
+                i += 1
+                if telemetry:
+                    job = record.job
+                    obs.emit("job_submit", {"job_id": job.job_id,
+                                            "project": job.project,
+                                            "n_gpus": job.n_gpus, "t": now})
+            self._dispatch()
+            dispatches += 1
+        events._fired += i + completed + dispatches
+        self.dispatches += dispatches
 
     def _start(self, record: JobRecord) -> None:
         now = self.events.now
@@ -216,48 +232,29 @@ class ClusterSimulator:
         record.end_time = end  # final once COMPLETED fires
         self._start_seq += 1
         heapq.heappush(self._running, (end, self._start_seq, record))
-        self.calendar.add(now, end, job.n_gpus, job.mem)
         if self._telemetry:
-            obs.emit(
-                "job_start",
-                {
-                    "job_id": job.job_id,
-                    "t": now,
-                    "wait": now - job.submit_time,
-                },
-            )
-        self.events.schedule(
-            end,
-            lambda r=record: self._complete(r),
-            priority=_PRIORITY_COMPLETE,
-            label=f"complete:{job.job_id}",
-        )
+            obs.emit("job_start", {"job_id": job.job_id, "t": now,
+                                   "wait": now - job.submit_time})
 
     def _emit_preempt(self, record: JobRecord, old_start: float,
                       new_start: float | None) -> None:
         """A held reservation was revoked (pushed later or dropped)."""
         if self._telemetry:
-            obs.emit(
-                "job_preempt",
-                {
-                    "job_id": record.job.job_id,
-                    "t": self.events.now,
-                    "reserved_start": old_start,
-                    "new_start": new_start,
-                },
-            )
+            obs.emit("job_preempt", {"job_id": record.job.job_id,
+                                     "t": self.events.now,
+                                     "reserved_start": old_start,
+                                     "new_start": new_start})
 
     def _dispatch(self) -> None:
-        self._dispatch_scheduled = False
         policy = self._policy
-        self.queue = policy.order(self.queue, self)
+        queue = self.queue = policy.order(self.queue, self)
         # Start jobs from the head while they fit.
-        queue = self.queue
         pool = self.pool
         while queue and pool.can_allocate(queue[0].job.n_gpus,
                                           queue[0].job.mem):
             self._start(queue.popleft())
         if queue:
+            self.plan_calls += 1
             policy.plan(self)
 
     # -- public API ------------------------------------------------------
@@ -267,6 +264,8 @@ class ClusterSimulator:
 
         Records are returned in ``job_id`` order.  Raises if any job requests
         more GPUs (or memory) than the pool holds (it could never start).
+        With ``until``, events after that time do not fire: later arrivals
+        stay unsubmitted and later completions stay running.
         """
         ids = [j.job_id for j in jobs]
         if len(set(ids)) != len(ids):
@@ -285,6 +284,7 @@ class ClusterSimulator:
                 "policy": self._policy.name,
             },
         )
+        records = []
         for job in jobs:
             if job.n_gpus > self.pool.capacity:
                 raise ValueError(
@@ -297,19 +297,26 @@ class ClusterSimulator:
                     f"job {job.job_id} requests {job.mem} mem, "
                     f"pool has {self.pool.mem_capacity}"
                 )
+            if job.submit_time < self.now:
+                raise ValueError(
+                    f"job {job.job_id} submits at {job.submit_time}, "
+                    f"before current time {self.now}"
+                )
             record = JobRecord(job=job)
             self._records[job.job_id] = record
-            self.events.schedule(
-                job.submit_time,
-                lambda r=record: self._submit(r),
-                priority=_PRIORITY_SUBMIT,
-                label=f"submit:{job.job_id}",
-            )
-        self.events.run(until=until)
+            records.append(record)
+        # A stable sort: arrivals at one instant keep list order.
+        self._simulate(sorted(records, key=lambda r: r.job.submit_time), until)
         obs.emit(
             "cluster_run_finish",
             {"n_jobs": len(jobs), "makespan": self.makespan},
-            wall={"wall_s": time.perf_counter() - t0},
+            wall={
+                "wall_s": time.perf_counter() - t0,
+                "events_fired": self.events.events_fired,
+                "dispatches": self.dispatches,
+                "plan_calls": self.plan_calls,
+                "backfill_candidates_scanned": self.backfill_candidates_scanned,
+            },
         )
         metrics = obs.get_metrics()
         metrics.counter("cluster.jobs").inc(len(jobs))

@@ -29,8 +29,8 @@ Byte-compatibility note: :class:`EasyBackfill` keeps the seed's exact
 shadow-time/extra-GPUs accounting (a per-job walk over the running set,
 which is bounded by pool capacity) rather than the calendar query, so
 FIFO/BACKFILL/EDF/FAIRSHARE schedules are bit-identical to the seed on
-every workload.  The calendar drives the new conservative/hybrid-k
-family, where no compatibility constraint exists.
+every workload and never build a calendar.  Only the conservative/
+hybrid-k family reads one (``sim.calendar``, a fresh timeline per plan).
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ class SchedulingPolicy:
         if self.reserve_depth == 0:
             return
         now = sim.now
-        overlay = sim.calendar.copy()
+        overlay = sim.calendar  # a fresh timeline of the running jobs
         queue = sim.queue
+        n_queued = len(queue)
         previous = self._reserved
         held: dict[int, float] = {}
         reserved = 0
@@ -168,6 +169,7 @@ class SchedulingPolicy:
                     overlay.add(now, now + job.duration, job.n_gpus, job.mem)
                     continue
             index += 1
+        sim.backfill_candidates_scanned += index + n_queued - len(queue)
         # A job that held a reservation but fell outside the window (the
         # queue was re-ordered past depth k) lost it outright.
         if len(held) < len(previous):
@@ -240,24 +242,29 @@ class EasyBackfill(SchedulingPolicy):
         )
 
     def plan(self, sim: "ClusterSimulator") -> None:
+        """Backfill behind the blocked head; the shadow walk runs only once
+        a candidate fits, and the scan ends when the pool is full."""
         now = sim.now
         queue = sim.queue
-        head = queue[0]
-        shadow, extra = self._shadow_and_extra(sim, head)
+        pool = sim.pool
+        n_queued = len(queue)
+        shadow = None
         index = 1
-        while index < len(queue):
+        while index < len(queue) and pool.available:
             record = queue[index]
             n = record.job.n_gpus
-            if sim.pool.can_allocate(n, record.job.mem):
+            if pool.can_allocate(n, record.job.mem):
+                if shadow is None:  # nothing started yet: same walk as upfront
+                    shadow, extra = self._shadow_and_extra(sim, queue[0])
                 finishes_before_shadow = now + record.job.duration <= shadow
-                fits_in_extra = n <= extra
-                if finishes_before_shadow or fits_in_extra:
+                if finishes_before_shadow or n <= extra:
                     del queue[index]
                     sim._start(record)
                     if not finishes_before_shadow:
                         extra -= n
                     continue  # same index now holds the next job
             index += 1
+        sim.backfill_candidates_scanned += index - 1 + n_queued - len(queue)
 
 
 class ConservativeBackfill(SchedulingPolicy):

@@ -1,5 +1,7 @@
 """Tests for the FIFO/backfill scheduler, workload, policies, and metrics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -616,3 +618,104 @@ class TestEngineScaling:
         sim = ClusterSimulator(4)
         sim.run([J(0, 4, 10.0, 0.0)], until=1.0)
         assert sim.earliest_fit(1, 5.0) == 10.0
+
+
+class TestEventOrdering:
+    """The engine loop fires completions, then submissions, then one
+    dispatch pass per instant; ``until`` stops before later events."""
+
+    def test_completion_frees_gpus_for_a_same_instant_submission(self):
+        from repro import obs
+
+        sim = ClusterSimulator(2)
+        with obs.capture_events() as events:
+            recs = sim.run([J(0, 2, 5.0, 0.0), J(1, 2, 1.0, 5.0)])
+        assert recs[1].start_time == 5.0
+        at_five = [(e["kind"], e["payload"]["job_id"]) for e in events
+                   if e["payload"].get("t") == 5.0]
+        assert at_five == [("job_finish", 0), ("job_submit", 1),
+                           ("job_start", 1)]
+        # 2 submissions + 2 completions + one dispatch at t = 0, 5 and 6.
+        assert sim.events.events_fired == 7
+        assert sim.dispatches == 3
+
+    def test_same_instant_arrivals_keep_list_order(self):
+        sim = ClusterSimulator(1)
+        recs = sim.run([J(5, 1, 1.0, 2.0), J(3, 1, 1.0, 2.0)])
+        assert [r.job.job_id for r in recs] == [3, 5]
+        assert recs[1].start_time == 2.0  # job 5, first in the list
+        assert recs[0].start_time == 3.0
+
+    def test_until_leaves_later_arrivals_unsubmitted(self):
+        sim = ClusterSimulator(1)
+        recs = sim.run([J(0, 1, 1.0, 0.0), J(1, 1, 1.0, 10.0)], until=5.0)
+        assert recs[0].state is JobState.COMPLETED
+        assert recs[1].state is JobState.PENDING
+        assert recs[1].start_time is None
+        assert len(sim.queue) == 0  # never submitted, so never queued
+        assert sim.now == 1.0
+        assert sim.events.events_fired == 4  # submit, dispatch, finish, dispatch
+
+    def test_submissions_before_the_clock_are_rejected(self):
+        sim = ClusterSimulator(1)
+        sim.run([J(0, 1, 1.0, 3.0)])
+        with pytest.raises(ValueError, match="before current time"):
+            sim.run([J(1, 1, 1.0, 2.0)])
+
+    @pytest.mark.parametrize("mem_capacity", [0.0, 16.0])
+    def test_earliest_fit_mid_run_is_policy_blind(self, mem_capacity):
+        # Jobs 0 and 1 start at t=0 under every policy, leaving one GPU
+        # free until t=5 and six until t=10; job 2 queues and,
+        # under conservative, holds a reservation.  The engine-level query
+        # sees running commitments only, never a policy's reservations.
+        jobs = [
+            Job(0, "p", 4, 10.0, 0.0, 1e9, mem=8.0),
+            Job(1, "p", 2, 5.0, 0.0, 1e9, mem=4.0),
+            Job(2, "p", 7, 1.0, 0.5, 1e9, mem=4.0),
+        ]
+        answers = {}
+        for policy in ("fifo", "backfill", "conservative"):
+            sim = ClusterSimulator(7, policy=policy, mem_capacity=mem_capacity)
+            sim.run(jobs, until=1.0)
+            assert len(sim.queue) == 1
+            assert sim.now == 0.5  # the clock stops at job 2's submission
+            answers[policy] = [
+                sim.earliest_fit(2, 5.0),
+                sim.earliest_fit(4, 5.0),
+                sim.earliest_fit(1, 1.0, mem=6.0),  # 4 GB free until t=5
+                sim.earliest_fit(2, 5.0),  # queries leave no trace
+            ]
+        expected_mem_fit = 5.0 if mem_capacity else 0.5
+        assert answers["fifo"] == [5.0, 10.0, expected_mem_fit, 5.0]
+        assert answers["backfill"] == answers["fifo"]
+        assert answers["conservative"] == answers["fifo"]
+
+
+class TestEngineCounters:
+    def test_counters_ride_in_the_volatile_half(self):
+        from repro import obs
+
+        jobs = [J(i, (i % 3) + 1, 2.0 + i % 4, 0.5 * i) for i in range(30)]
+        sim = ClusterSimulator(3, policy="backfill")
+        with obs.capture_events() as events:
+            sim.run(jobs)
+        (finish,) = [e for e in events if e["kind"] == "cluster_run_finish"]
+        counters = {k: v for k, v in finish["wall"].items() if k != "wall_s"}
+        assert counters == {
+            "events_fired": sim.events.events_fired,
+            "dispatches": sim.dispatches,
+            "plan_calls": sim.plan_calls,
+            "backfill_candidates_scanned": sim.backfill_candidates_scanned,
+        }
+        assert sim.events.events_fired == 2 * len(jobs) + sim.dispatches
+        assert 0 < sim.plan_calls <= sim.dispatches
+        assert sim.backfill_candidates_scanned > 0
+        assert set(obs.strip_volatile(finish)["payload"]) == {"n_jobs", "makespan"}
+
+        def stripped(records):
+            return [json.dumps(obs.strip_volatile(r), sort_keys=True)
+                    for r in records]
+
+        bare = [{**e, "wall": {"wall_s": e["wall"].get("wall_s", 0.0)}}
+                if e["kind"] == "cluster_run_finish" else e for e in events]
+        assert stripped(events) == stripped(bare)
