@@ -20,7 +20,6 @@ from repro.exp.registry import (
 )
 from repro.exp.reporting import paper_comparison, rows_table, verdict_table
 from repro.exp.result import Block, Check, ExpResult, Verdict
-from repro.exp.runner import RunRecord, RunSummary, run_experiments
 
 __all__ = [
     "Experiment",
@@ -36,7 +35,4 @@ __all__ = [
     "Check",
     "ExpResult",
     "Verdict",
-    "RunRecord",
-    "RunSummary",
-    "run_experiments",
 ]

@@ -39,17 +39,13 @@ Environment knobs
     Set to ``1`` to silence every emit, including explicitly configured
     loggers — the kill switch.
 
-Reading the stream back needs three lines of stdlib::
-
-    import json
-    with open("obs/events.jsonl") as fh:
-        events = [json.loads(line) for line in fh]
+The file is a :mod:`repro.obs.jsonl` stream; :func:`read_events` reads
+it back tolerantly and :class:`repro.obs.trace.TraceReader` strictly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import threading
 import time
@@ -58,6 +54,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.obs import context as _trace_context
+from repro.obs.jsonl import JsonlWriter, disabled, read_jsonl
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -76,7 +73,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _DIR_ENV = "REPRO_OBS_DIR"
-_DISABLE_ENV = "REPRO_OBS_DISABLE"
 
 #: Top-level record fields excluded from the determinism contract.
 #: ``trace`` carries request-trace ids (repro.obs.context), which mix in
@@ -129,11 +125,6 @@ class EventLog:
         emitting thread's bound context (:func:`repro.obs.context.current`)
         is stamped when one exists.
 
-    Appends are a single ``os.write`` to an ``O_APPEND`` descriptor, so a
-    record is written atomically: concurrent writers may interleave
-    *lines*, never bytes within a line, and a crashed writer never leaves
-    a torn record.
-
     Examples
     --------
     >>> log = EventLog()
@@ -154,20 +145,11 @@ class EventLog:
         self.trace = trace
         self.records: list[dict[str, Any]] = []
         self._seq = 0
-        self._fd: int | None = None
+        self._writer = JsonlWriter(self.path) if self.path is not None else None
         # Emits must be safe from helper threads too: the resource
         # sampler (repro.obs.resources) shares a run's log with the
         # coordinating thread, and seq assignment must never race.
         self._lock = threading.Lock()
-
-    def _descriptor(self) -> int:
-        if self._fd is None:
-            assert self.path is not None
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        return self._fd
 
     def emit(
         self,
@@ -191,16 +173,14 @@ class EventLog:
             self._seq += 1
             if self.capture:
                 self.records.append(record)
-            if self.path is not None:
-                line = json.dumps(record, sort_keys=True, default=_jsonable) + "\n"
-                os.write(self._descriptor(), line.encode())
+            if self._writer is not None:
+                self._writer.append(record, _jsonable)
             return record
 
     def close(self) -> None:
         """Release the file descriptor (subsequent emits reopen it)."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        if self._writer is not None:
+            self._writer.close()
 
     def __len__(self) -> int:
         return self._seq
@@ -241,7 +221,7 @@ def get_logger() -> EventLog | None:
     ``REPRO_OBS_DIR`` enables a shared file logger, otherwise telemetry
     is a no-op.
     """
-    if os.environ.get(_DISABLE_ENV, "") == "1":
+    if disabled():
         return None
     if _active is not _UNSET:
         return _active
@@ -348,14 +328,8 @@ def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
 
 
 def read_events(path: str | os.PathLike) -> list[dict[str, Any]]:
-    """Parse a JSONL event file back into record dicts."""
-    out: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    """Parse an event file, dropping a torn tail and corrupt lines."""
+    return read_jsonl(path)[0]
 
 
 def strip_volatile(record: Mapping[str, Any]) -> dict[str, Any]:

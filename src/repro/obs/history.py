@@ -38,6 +38,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.obs.jsonl import JsonlWriter, read_jsonl
 from repro.utils.tables import Table
 
 __all__ = [
@@ -327,45 +328,31 @@ class RunRegistry:
 
     # -- index persistence -------------------------------------------------
 
-    def _load_index(self) -> dict[str, RunRecord]:
-        """Indexed records, last line per run id winning (append-only)."""
+    def _load_index(self, run_id: str | None = None) -> dict[str, RunRecord]:
+        """Indexed records (only *run_id*'s when given), last line winning.
+
+        Torn, corrupt and foreign-schema lines are skipped, not fatal.
+        """
         records: dict[str, RunRecord] = {}
         if not self.index_path.is_file():
             return records
-        with open(self.index_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records_raw = json.loads(line)
-                    record = RunRecord.from_dict(records_raw)
-                except (json.JSONDecodeError, HistoryError, KeyError):
-                    # A torn final line (concurrent writer) or a
-                    # foreign-schema record: skip rather than refuse the
-                    # whole history.
-                    continue
-                records[record.run_id] = record
+        for raw in read_jsonl(self.index_path)[0]:
+            if run_id is not None and raw.get("run_id") != run_id:
+                continue
+            try:
+                record = RunRecord.from_dict(raw)
+            except (HistoryError, KeyError):
+                continue
+            records[record.run_id] = record
         return records
 
     def _append(self, records: Iterable[RunRecord]) -> None:
-        lines = [
-            json.dumps(record.as_dict(), sort_keys=True) + "\n"
-            for record in records
-        ]
-        if not lines:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        # One O_APPEND write per record: concurrent scanners may
-        # interleave lines but never tear one (same contract as EventLog).
-        fd = os.open(
-            self.index_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        writer = JsonlWriter(self.index_path)
         try:
-            for line in lines:
-                os.write(fd, line.encode())
+            for record in records:
+                writer.append(record.as_dict())
         finally:
-            os.close(fd)
+            writer.close()
 
     # -- discovery ---------------------------------------------------------
 
@@ -413,7 +400,7 @@ class RunRegistry:
     def register(self, run_dir: str | os.PathLike) -> RunRecord:
         """Parse one freshly finished run and append it to the index."""
         record = RunRecord.from_dir(run_dir)
-        prior = self._load_index().get(record.run_id)
+        prior = self._load_index(record.run_id).get(record.run_id)
         if prior is None or prior.mtime != record.mtime:
             self._append([record])
         return record

@@ -32,8 +32,8 @@ append to it directly: the coordinator publishes the profile file via
 ``REPRO_OBS_PROFILE_FILE`` (and the enclosing span path via
 ``REPRO_OBS_PROFILE_SPAN`` at pool-creation time), and the pool
 initializer calls :func:`attach_worker_profiler` to start a sampler
-inside each worker.  Appends are atomic lines (O_APPEND), so any number
-of processes share one ``profile.jsonl``.
+inside each worker.  ``profile.jsonl`` is a :mod:`repro.obs.jsonl`
+stream of atomic lines, so any number of processes share it.
 
 Determinism contract
 --------------------
@@ -62,6 +62,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.obs.events import EventLog
+from repro.obs.jsonl import disabled
 from repro.obs.spans import current_span_path
 
 __all__ = [
@@ -105,8 +106,6 @@ PROFILE_FILE_ENV = "REPRO_OBS_PROFILE_FILE"
 #: The span path open at pool-creation time, stamped on worker samples.
 PROFILE_SPAN_ENV = "REPRO_OBS_PROFILE_SPAN"
 
-_DISABLE_ENV = "REPRO_OBS_DISABLE"
-
 
 def resolve_profile(value: Any = None) -> tuple[str, float] | None:
     """Normalize a profile knob to ``(mode, interval_s)`` or ``None`` (off).
@@ -117,7 +116,7 @@ def resolve_profile(value: Any = None) -> tuple[str, float] | None:
     a sampling interval in seconds.  The ``REPRO_OBS_DISABLE=1`` kill
     switch turns profiling off like every other instrument.
     """
-    if os.environ.get(_DISABLE_ENV, "") == "1":
+    if disabled():
         return None
     if value is None:
         value = os.environ.get(PROFILE_ENV, "").strip()

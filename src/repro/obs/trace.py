@@ -26,22 +26,22 @@ serve root's ``access.jsonl`` (:mod:`repro.serve.access`) to its run
 directories on ``trace_id``, powering ``repro trace --serve`` and the
 ``repro serve-report`` fleet aggregates.
 
-Loading is deliberately forgiving in exactly one way: a truncated final
-line (the writer died mid-record) is dropped and flagged, because an
-append-only log's last record is the only one that can legally be torn.
-Everything else — a corrupt interior line, an unknown schema version — is
-a hard :class:`TraceError`, never a silent skip.
+Loading follows the :mod:`repro.obs.jsonl` read rule and is forgiving in
+exactly one way: a torn final line (the writer died mid-record) is
+dropped and flagged.  Everything else — a corrupt complete line, an
+unknown schema version — is a hard :class:`TraceError`, never a silent
+skip.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.events import SCHEMA_VERSION
+from repro.obs.jsonl import read_jsonl
 from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME, STAT_KIND
 from repro.utils.tables import Table
 
@@ -329,34 +329,22 @@ class ResourceUsage:
 # Loading and validation
 
 
-def _parse_stream(text: str) -> tuple[list[dict[str, Any]], bool]:
-    """Parse JSONL text into records, tolerating one truncated final line."""
-    lines = text.splitlines()
-    last_content = -1
-    for index, line in enumerate(lines):
-        if line.strip():
-            last_content = index
-    records: list[dict[str, Any]] = []
-    truncated = False
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if index == last_content:
-                truncated = True
-                break
-            raise TraceError(
-                f"corrupt event record on line {index + 1}: {exc.msg}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise TraceError(
-                f"event record on line {index + 1} is not a JSON object"
-            )
-        records.append(record)
-    return records, truncated
+def _read_stream(
+    source: str | os.PathLike, name: str, missing: str
+) -> tuple[Path, list[dict[str, Any]], bool]:
+    """Read stream *name* (or *source* itself) strictly: corrupt lines raise."""
+    path = Path(source)
+    if path.is_dir():
+        path = path / name
+    try:
+        records, truncated, corrupt = read_jsonl(path)
+    except FileNotFoundError:
+        raise TraceError(missing.format(path=path)) from None
+    if corrupt:
+        raise TraceError(
+            f"corrupt event record on line {corrupt[0]}: not a JSON object"
+        )
+    return path, records, truncated
 
 
 def _validate(records: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
@@ -413,12 +401,9 @@ class TraceReader:
     @classmethod
     def load(cls, source: str | os.PathLike) -> "TraceReader":
         """Read ``events.jsonl`` from a file path or a run directory."""
-        path = Path(source)
-        if path.is_dir():
-            path = path / "events.jsonl"
-        if not path.exists():
-            raise TraceError(f"no event stream at {path}")
-        records, truncated = _parse_stream(path.read_text(encoding="utf-8"))
+        path, records, truncated = _read_stream(
+            source, "events.jsonl", "no event stream at {path}"
+        )
         return cls(records, truncated=truncated, source=str(path))
 
     @classmethod
@@ -1002,15 +987,12 @@ class ProfileReader:
     @classmethod
     def load(cls, source: str | os.PathLike) -> "ProfileReader":
         """Read ``profile.jsonl`` from a file path or a run directory."""
-        path = Path(source)
-        if path.is_dir():
-            path = path / PROFILE_LOG_NAME
-        if not path.exists():
-            raise TraceError(
-                f"no profile stream at {path} — record one with "
-                "'repro run ... --profile'"
-            )
-        records, truncated = _parse_stream(path.read_text(encoding="utf-8"))
+        path, records, truncated = _read_stream(
+            source,
+            PROFILE_LOG_NAME,
+            "no profile stream at {path} — record one with "
+            "'repro run ... --profile'",
+        )
         return cls(records, truncated=truncated, source=str(path))
 
     @classmethod
@@ -1378,29 +1360,13 @@ class ServeTraceIndex:
     def load(cls, source: str | os.PathLike) -> "ServeTraceIndex":
         """Read ``access.jsonl`` from a serve root directory or file path.
 
-        A rotated segment (``access.jsonl.1``, produced by the write
-        side's size-threshold rotation) is read first when present, so
-        stitching and fleet aggregates span the rotation boundary.
-        Rotation happens between whole-line appends, which is why the
-        rotated segment can be parsed with the same one-torn-tail
-        tolerance as a live stream.
+        A rotated segment (``access.jsonl.1``) is read first when
+        present, so stitching and fleet aggregates span the rotation
+        boundary.
         """
-        path = Path(source)
-        if path.is_dir():
-            path = path / ACCESS_LOG_NAME
-        rotated = path.with_name(path.name + ".1")
-        records: list[dict[str, Any]] = []
-        truncated = False
-        if rotated.exists():
-            segment, torn = _parse_stream(rotated.read_text(encoding="utf-8"))
-            records.extend(segment)
-            truncated = truncated or torn
-        if path.exists():
-            segment, torn = _parse_stream(path.read_text(encoding="utf-8"))
-            records.extend(segment)
-            truncated = truncated or torn
-        elif not records:
-            raise TraceError(f"no access log at {path}")
+        path, records, truncated = _read_stream(
+            source, ACCESS_LOG_NAME, "no access log at {path}"
+        )
         return cls(
             records, root=path.parent, truncated=truncated, source=str(path)
         )

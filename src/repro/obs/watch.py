@@ -4,8 +4,7 @@ The paper's end-of-program GPU crunch (§3–§4) went unnoticed because
 monitoring was retrospective — the telemetry existed only as something to
 read *after* the fact.  This module closes the loop: a
 :class:`EventFollower` tails a run's ``events.jsonl`` incrementally
-(tolerating the one legally-torn final line, the same allowance
-:class:`repro.obs.trace.TraceReader` makes), a :class:`WatchState` folds
+under the :mod:`repro.obs.jsonl` read rule, a :class:`WatchState` folds
 the records into a live picture of the run, and :func:`watch_run` renders
 that picture in place until the run finishes.
 
@@ -16,13 +15,14 @@ process — the normal use is ``repro run … --out DIR`` in one terminal and
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable, Mapping
+
+from repro.obs.jsonl import JsonlFollower
 
 __all__ = [
     "EventFollower",
@@ -38,48 +38,21 @@ _ANSI_HOME_CLEAR = "\x1b[H\x1b[J"
 _BAR_WIDTH = 28
 
 
-class EventFollower:
-    """Incremental JSONL tailer with torn-final-line tolerance.
+class EventFollower(JsonlFollower):
+    """A :class:`~repro.obs.jsonl.JsonlFollower` over a run's event stream.
 
-    Bytes are read from the last offset on every :meth:`poll`; a partial
-    trailing line (the writer is mid-append) stays buffered until its
-    newline arrives, so a record is either delivered whole or not yet.
-    Complete lines that fail to parse are counted in :attr:`n_corrupt`
-    rather than raised — a live view should degrade, not die.
+    Accepts the run directory or the ``events.jsonl`` path.  Corrupt
+    complete lines are counted in :attr:`n_corrupt` rather than raised —
+    a live view should degrade, not die.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         path = Path(path)
-        if path.is_dir():
-            path = path / "events.jsonl"
-        self.path = path
-        self.n_corrupt = 0
-        self._offset = 0
-        self._buffer = b""
+        super().__init__(path / "events.jsonl" if path.is_dir() else path)
 
-    def poll(self) -> list[dict[str, Any]]:
-        """Every complete record appended since the previous poll."""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-                self._offset = fh.tell()
-        except OSError:
-            return []
-        self._buffer += chunk
-        records: list[dict[str, Any]] = []
-        while b"\n" in self._buffer:
-            line, self._buffer = self._buffer.split(b"\n", 1)
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.n_corrupt += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+    @property
+    def n_corrupt(self) -> int:
+        return len(self.corrupt)
 
 
 @dataclass

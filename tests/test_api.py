@@ -187,15 +187,6 @@ class TestCatalogFacade:
             assert {"id", "title", "section", "paper_claim", "config",
                     "smoke_overrides", "volatile_values"} <= set(d)
 
-    def test_execute_matches_the_legacy_runner(self, fake, tmp_path):
-        from repro.exp.runner import run_experiments
-
-        request = RunRequest(ids=("ZZAPI",), cache=False)
-        via_api = Catalog().execute(request)
-        via_runner = run_experiments(["ZZAPI"], cache=False)
-        assert (canonical_results_bytes(via_api.as_dict())
-                == canonical_results_bytes(via_runner.as_dict()))
-
 
 class TestInlineBackend:
     def test_lifecycle_and_cache_hit(self, fake, tmp_path):
