@@ -5,15 +5,14 @@ finishing at the same time resulted in GPU availability issues" and proposes
 "staging GPU result collection across non-overlapping batches".  This package
 reproduces that finding with a layered scheduling engine:
 
-* **engine** — the simulator (:mod:`repro.cluster.scheduler`), whose
-  loop merges sorted arrivals with a heap of running jobs, a generic
-  deterministic event queue (:mod:`repro.cluster.engine`), and a
+* **engine** — the simulator (:mod:`repro.cluster.scheduler`), whose one
+  loop merges sorted arrivals with a heap of running jobs, and a
   reservation calendar of future free capacity built on demand for the
   policies that read it (:mod:`repro.cluster.calendar`);
 * **policies** — FIFO, EDF, fair-share, EASY backfill, conservative
   backfill, and hybrid-k backfill behind one pluggable
-  :class:`~repro.cluster.scheduling.SchedulingPolicy` protocol and a
-  name registry (:mod:`repro.cluster.scheduling`);
+  :class:`~repro.cluster.scheduling.SchedulingPolicy` protocol, named by
+  a string or passed as an instance (:mod:`repro.cluster.scheduling`);
 * **resources** — a (gpus, memory) vector pool, GPU-only by default
   (:mod:`repro.cluster.resources`);
 * **workloads & studies** — the deadline-driven REU season generator,
@@ -22,7 +21,6 @@ reproduces that finding with a layered scheduling engine:
 """
 
 from repro.cluster.calendar import ReservationCalendar
-from repro.cluster.engine import EventQueue
 from repro.cluster.jobs import Job, JobRecord, JobState
 from repro.cluster.metrics import (
     ScheduleMetrics,
@@ -37,13 +35,8 @@ from repro.cluster.policies import (
     uniform_submission,
 )
 from repro.cluster.resources import GPUPool, ResourceVector
-from repro.cluster.scheduler import ClusterSimulator, SchedulerPolicy
-from repro.cluster.scheduling import (
-    SchedulingPolicy,
-    available_policies,
-    get_policy,
-    register_policy,
-)
+from repro.cluster.scheduler import ClusterSimulator
+from repro.cluster.scheduling import SchedulingPolicy, available_policies, get_policy
 from repro.cluster.trace import dump_trace, dumps_trace, load_trace, loads_trace
 from repro.cluster.workload import (
     JOB_MIXES,
@@ -54,7 +47,6 @@ from repro.cluster.workload import (
 )
 
 __all__ = [
-    "EventQueue",
     "ReservationCalendar",
     "Job",
     "JobRecord",
@@ -70,10 +62,8 @@ __all__ = [
     "GPUPool",
     "ResourceVector",
     "ClusterSimulator",
-    "SchedulerPolicy",
     "SchedulingPolicy",
     "get_policy",
-    "register_policy",
     "available_policies",
     "dump_trace",
     "dumps_trace",

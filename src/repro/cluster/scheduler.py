@@ -18,12 +18,10 @@ The simulator is three layers:
   :class:`~repro.cluster.resources.ResourceVector` pool, gpu-only by
   default for seed bit-compatibility.
 
-:class:`SchedulerPolicy` — the seed's four-member enum — remains as the
-legacy spelling; each member resolves through the policy registry
-(:func:`repro.cluster.scheduling.get_policy`), so existing call sites and
-the R1 tables are byte-identical while new call sites may pass registry
-names (``"conservative"``, ``"hybrid-4"``, ``"conservative-edf"``) or
-policy instances directly.
+A policy is named (``"fifo"``, ``"backfill"``, ``"conservative"``,
+``"hybrid-4"``, ``"conservative-edf"``, ...) or passed as an instance;
+:func:`repro.cluster.scheduling.get_policy` resolves both.  The clock and
+the event counter are one small record, :attr:`ClusterSimulator.events`.
 
 The simulator narrates itself through :mod:`repro.obs`: ``job_submit`` /
 ``job_start`` / ``job_finish`` events carry the deterministic simulation
@@ -32,12 +30,12 @@ hybrid-k under non-FIFO ordering may push a held reservation later when
 a higher-priority arrival displaces it), and a ``cluster_run_start`` /
 ``cluster_run_finish`` pair frames each ``run``.  The engine counters
 (events fired, dispatch passes, plan calls, backfill candidates scanned)
-ride in the volatile ``wall`` half of ``cluster_run_finish``.
+of that run ride in the volatile ``wall`` half of ``cluster_run_finish``;
+the simulator's attributes keep the totals over all its runs.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 import time
@@ -46,36 +44,21 @@ from operator import itemgetter
 
 from repro import obs
 from repro.cluster.calendar import ReservationCalendar
-from repro.cluster.engine import EventQueue
 from repro.cluster.jobs import Job, JobRecord, JobState
 from repro.cluster.resources import GPUPool
 from repro.cluster.scheduling import SchedulingPolicy, get_policy
 
-__all__ = ["SchedulerPolicy", "ClusterSimulator"]
+__all__ = ["ClusterSimulator"]
 
 
-class SchedulerPolicy(enum.Enum):
-    """Legacy queue-discipline spelling (now a policy-registry alias).
+class _Clock:
+    """The simulation clock and the number of events fired so far."""
 
-    ``FIFO`` and ``BACKFILL`` are deadline-blind (slurm's defaults).
-    ``EDF`` re-sorts the pending queue by earliest deadline at each
-    dispatch — modelling course staff assigning priorities by poster date;
-    it still head-blocks like FIFO once sorted.  ``FAIRSHARE`` re-sorts by
-    each project's committed GPU-hours so far (slurm's fair-share idea):
-    the paper notes "some students launched a job requiring a huge
-    allocation" while "others ... were stuck" — fair-share lets the light
-    users cut ahead of a heavy user's queue.
+    __slots__ = ("now", "events_fired")
 
-    Each member's value is its :mod:`repro.cluster.scheduling` registry
-    name; the full policy family (conservative, hybrid-k, ordered
-    variants) is reachable by passing a registry name or policy instance
-    to :class:`ClusterSimulator` instead of an enum member.
-    """
-
-    FIFO = "fifo"
-    BACKFILL = "backfill"
-    EDF = "edf"
-    FAIRSHARE = "fairshare"
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.events_fired = 0
 
 
 class ClusterSimulator:
@@ -86,8 +69,8 @@ class ClusterSimulator:
     n_gpus:
         Pool capacity.
     policy:
-        Queue discipline: a :class:`SchedulerPolicy` member, a policy
-        registry name (``"conservative"``, ``"hybrid-4"``, ...), or a
+        Queue discipline: a policy name (``"fifo"``, ``"backfill"``,
+        ``"conservative"``, ``"hybrid-4"``, ...) or a
         :class:`~repro.cluster.scheduling.SchedulingPolicy` instance.
     mem_capacity:
         Optional pool memory (GB).  ``0.0`` — the default — leaves the
@@ -107,16 +90,15 @@ class ClusterSimulator:
         self,
         n_gpus: int,
         *,
-        policy: SchedulerPolicy | SchedulingPolicy | str = SchedulerPolicy.FIFO,
+        policy: SchedulingPolicy | str = "fifo",
         mem_capacity: float = 0.0,
     ) -> None:
         self.pool = GPUPool(n_gpus, mem_capacity=mem_capacity)
-        self.policy = policy
         self._policy = get_policy(policy)
         self.queue: deque[JobRecord] = deque()
         # The clock and the event counter; arrivals and completions live
         # in the simulator's own structures (see ``_simulate``).
-        self.events = EventQueue()
+        self.events = _Clock()
         # Running jobs as a heap of (end_time, start_seq, record): the
         # pending completions, in the order they fire.
         self._running: list[tuple[float, int, JobRecord]] = []
@@ -140,7 +122,7 @@ class ClusterSimulator:
 
     @property
     def policy_name(self) -> str:
-        """The resolved policy's registry name (``"backfill"`` for EASY)."""
+        """The resolved policy's name (``"backfill"`` for EASY)."""
         return self._policy.name
 
     def running_profile(self) -> list[tuple[float, int]]:
@@ -167,12 +149,6 @@ class ClusterSimulator:
             calendar.add(now, end, record.job.n_gpus, record.job.mem)
         return calendar
 
-    def earliest_fit(self, n_gpus: int, duration: float,
-                     mem: float = 0.0) -> float:
-        """Earliest start at which the request fits the running commitments
-        (an engine-level query: no policy's reservations are included)."""
-        return self.calendar.earliest_fit(n_gpus, duration, self.now, mem=mem)
-
     # -- the event loop --------------------------------------------------
 
     def _simulate(self, arrivals: list[JobRecord], until: float | None) -> None:
@@ -195,7 +171,7 @@ class ClusterSimulator:
                 now = running[0][0]
             if now == math.inf or now > horizon:
                 break
-            events._now = now
+            events.now = now
             while running and running[0][0] == now:
                 record = heapq.heappop(running)[2]
                 record.state = JobState.COMPLETED
@@ -216,7 +192,7 @@ class ClusterSimulator:
                                             "n_gpus": job.n_gpus, "t": now})
             self._dispatch()
             dispatches += 1
-        events._fired += i + completed + dispatches
+        events.events_fired += i + completed + dispatches
         self.dispatches += dispatches
 
     def _start(self, record: JobRecord) -> None:
@@ -271,6 +247,7 @@ class ClusterSimulator:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job_id in workload")
         t0 = time.perf_counter()
+        before = self._counters()
         # Telemetry routing is sampled once per run: the DES fires millions
         # of events for large workloads and skipping payload construction
         # when no sink is active is a measurable win.
@@ -312,10 +289,8 @@ class ClusterSimulator:
             {"n_jobs": len(jobs), "makespan": self.makespan},
             wall={
                 "wall_s": time.perf_counter() - t0,
-                "events_fired": self.events.events_fired,
-                "dispatches": self.dispatches,
-                "plan_calls": self.plan_calls,
-                "backfill_candidates_scanned": self.backfill_candidates_scanned,
+                **{name: total - before[name]
+                   for name, total in self._counters().items()},
             },
         )
         metrics = obs.get_metrics()
@@ -323,9 +298,14 @@ class ClusterSimulator:
         metrics.gauge("cluster.makespan").set(self.makespan)
         return [self._records[i] for i in sorted(self._records)]
 
-    def project_usage(self) -> dict[str, float]:
-        """Committed GPU-hours per project (grows when a job starts)."""
-        return dict(self._usage)
+    def _counters(self) -> dict[str, int]:
+        """The engine counters' totals over every run so far."""
+        return {
+            "events_fired": self.events.events_fired,
+            "dispatches": self.dispatches,
+            "plan_calls": self.plan_calls,
+            "backfill_candidates_scanned": self.backfill_candidates_scanned,
+        }
 
     @property
     def makespan(self) -> float:

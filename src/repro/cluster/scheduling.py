@@ -19,11 +19,13 @@ into the gaps.  Depth 0 is plain priority scheduling (FIFO/EDF/
 fair-share), depth 1 is EASY, depth *k* is hybrid-*k*, depth ``None``
 is conservative backfill.
 
-Policies register under a name; :func:`get_policy` resolves names
-(including parameterized ``"hybrid-<k>"`` forms), legacy
-:class:`~repro.cluster.scheduler.SchedulerPolicy` enum members, and
-ready-made instances.  ``"backfill"`` — the seed's name for EASY — stays
-registered so existing call sites and R1 tables are untouched.
+A policy is named by a string or passed as an instance:
+:func:`get_policy` resolves the fixed name table (``"fifo"``, ``"edf"``,
+``"fairshare"``, ``"backfill"``, ...), the parameterized
+``"hybrid-<k>[-<key>]"`` and ``"conservative-<key>"`` forms, and returns
+a ready-made instance as-is, which is how a custom policy plugs in.
+``"backfill"`` — the seed's name for EASY — keeps the R1 tables
+untouched.
 
 Byte-compatibility note: :class:`EasyBackfill` keeps the seed's exact
 shadow-time/extra-GPUs accounting (a per-job walk over the running set,
@@ -51,7 +53,6 @@ __all__ = [
     "EasyBackfill",
     "ConservativeBackfill",
     "HybridBackfill",
-    "register_policy",
     "get_policy",
     "available_policies",
 ]
@@ -70,7 +71,7 @@ class SchedulingPolicy:
     Attributes
     ----------
     name:
-        Registry identity, also stamped into ``cluster_run_start`` events.
+        The policy's name, also stamped into ``cluster_run_start`` events.
     reserve_depth:
         How many queued jobs hold calendar reservations during
         :meth:`plan`: ``0`` disables backfill entirely, ``k`` reserves the
@@ -188,7 +189,11 @@ class FifoPolicy(SchedulingPolicy):
 
 
 class EdfPolicy(SchedulingPolicy):
-    """Earliest poster deadline first; still head-blocks once sorted."""
+    """Earliest poster deadline first; still head-blocks once sorted.
+
+    Re-sorting the pending queue by deadline at each dispatch models
+    course staff assigning priorities by poster date.
+    """
 
     name = "edf"
     reserve_depth = 0
@@ -198,7 +203,13 @@ class EdfPolicy(SchedulingPolicy):
 
 
 class FairsharePolicy(SchedulingPolicy):
-    """Lightest committed-GPU-hours project first (slurm fair-share)."""
+    """Lightest committed-GPU-hours project first (slurm fair-share).
+
+    The paper notes "some students launched a job requiring a huge
+    allocation" while "others ... were stuck": ordering by each
+    project's GPU-hours so far lets the light users cut ahead of a heavy
+    user's queue.
+    """
 
     name = "fairshare"
     reserve_depth = 0
@@ -217,7 +228,7 @@ class EasyBackfill(SchedulingPolicy):
     completions at the shadow instant together.
     """
 
-    name = "backfill"  # the seed's registry name for EASY
+    name = "backfill"  # the seed's name for EASY
     reserve_depth = 1
 
     def _shadow_and_extra(self, sim: "ClusterSimulator",
@@ -300,48 +311,46 @@ class HybridBackfill(SchedulingPolicy):
         self.name = f"hybrid-{k}" if key == "fifo" else f"hybrid-{k}-{key}"
 
 
-# -- the registry ---------------------------------------------------------
+# -- the name table -------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[[], SchedulingPolicy]] = {}
-
-
-def register_policy(name: str,
-                    factory: Callable[[], SchedulingPolicy]) -> None:
-    """Register a policy factory under ``name`` (case-insensitive)."""
-    key = name.lower()
-    if key in _REGISTRY:
-        raise ValueError(f"policy {name!r} already registered")
-    _REGISTRY[key] = factory
+_NAMED: dict[str, Callable[[], SchedulingPolicy]] = {
+    "fifo": FifoPolicy,
+    "edf": EdfPolicy,
+    "fairshare": FairsharePolicy,
+    "backfill": EasyBackfill,  # the seed's name for EASY
+    "easy": EasyBackfill,
+    "conservative": ConservativeBackfill,
+    "hybrid-2": lambda: HybridBackfill(2),
+    "hybrid-4": lambda: HybridBackfill(4),
+}
 
 
 def available_policies() -> list[str]:
-    """Registered policy names (the parameterized ``hybrid-<k>`` family is
-    resolvable beyond the pre-registered depths)."""
-    return sorted(_REGISTRY)
+    """The named policies (the parameterized ``hybrid-<k>`` family is
+    resolvable beyond the listed depths)."""
+    return sorted(_NAMED)
 
 
-def get_policy(spec) -> SchedulingPolicy:
-    """Resolve ``spec`` into a fresh :class:`SchedulingPolicy` instance.
+def get_policy(spec: "SchedulingPolicy | str") -> SchedulingPolicy:
+    """Resolve ``spec`` into a :class:`SchedulingPolicy` instance.
 
-    Accepts a policy instance (returned as-is), a legacy
-    :class:`~repro.cluster.scheduler.SchedulerPolicy` enum member, or a
-    registry name.  ``"hybrid-<k>"`` and ``"conservative-<key>"`` /
+    A policy instance is returned as-is; a name (case-insensitive) builds
+    a fresh one.  ``"hybrid-<k>"`` and ``"conservative-<key>"`` /
     ``"hybrid-<k>-<key>"`` forms are parsed structurally, so any depth
-    and any order key compose without pre-registration.
+    and any order key compose without a table entry.
     """
     if isinstance(spec, SchedulingPolicy):
         return spec
-    name = getattr(spec, "value", spec)
-    if not isinstance(name, str):
+    if not isinstance(spec, str):
         raise TypeError(f"cannot resolve scheduling policy from {spec!r}")
-    key = name.lower()
-    if key in _REGISTRY:
-        return _REGISTRY[key]()
+    key = spec.lower()
+    if key in _NAMED:
+        return _NAMED[key]()
     parsed = _parse_parameterized(key)
     if parsed is not None:
         return parsed
     raise KeyError(
-        f"unknown scheduling policy {name!r}; registered: "
+        f"unknown scheduling policy {spec!r}; known: "
         f"{', '.join(available_policies())} (plus hybrid-<k>[-<key>] and "
         f"conservative-<key> forms)"
     )
@@ -359,13 +368,3 @@ def _parse_parameterized(key: str) -> SchedulingPolicy | None:
         policy.name = f"conservative-{parts[1]}"
         return policy
     return None
-
-
-register_policy("fifo", FifoPolicy)
-register_policy("edf", EdfPolicy)
-register_policy("fairshare", FairsharePolicy)
-register_policy("backfill", EasyBackfill)  # the seed's name for EASY
-register_policy("easy", EasyBackfill)
-register_policy("conservative", ConservativeBackfill)
-register_policy("hybrid-2", lambda: HybridBackfill(2))
-register_policy("hybrid-4", lambda: HybridBackfill(4))

@@ -36,6 +36,8 @@ def dumps_trace(jobs: list[Job], *, comment: str = "") -> str:
             lines.append(f"; {row}")
     lines.append(_FIELDS)
     for job in sorted(jobs, key=lambda j: j.job_id):
+        if not job.project:
+            raise ValueError(f"job {job.job_id} has an empty project name")
         if any(c.isspace() for c in job.project):
             raise ValueError(
                 f"project name {job.project!r} contains whitespace"

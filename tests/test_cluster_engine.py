@@ -1,86 +1,8 @@
-"""Tests for the discrete-event core and resource pool."""
+"""Tests for the resource pool."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.cluster.engine import EventQueue
 from repro.cluster.resources import GPUPool
-
-
-class TestEventQueue:
-    def test_fires_in_time_order(self):
-        q = EventQueue()
-        log = []
-        q.schedule(3.0, lambda: log.append("c"))
-        q.schedule(1.0, lambda: log.append("a"))
-        q.schedule(2.0, lambda: log.append("b"))
-        q.run()
-        assert log == ["a", "b", "c"]
-
-    def test_priority_breaks_ties(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1.0, lambda: log.append("low"), priority=5)
-        q.schedule(1.0, lambda: log.append("high"), priority=0)
-        q.run()
-        assert log == ["high", "low"]
-
-    def test_sequence_breaks_remaining_ties(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1.0, lambda: log.append(1))
-        q.schedule(1.0, lambda: log.append(2))
-        q.run()
-        assert log == [1, 2]
-
-    def test_now_advances(self):
-        q = EventQueue()
-        q.schedule(5.0, lambda: None)
-        q.run()
-        assert q.now == 5.0
-
-    def test_rejects_scheduling_in_past(self):
-        q = EventQueue()
-        q.schedule(5.0, lambda: None)
-        q.run()
-        with pytest.raises(ValueError, match="before current time"):
-            q.schedule(1.0, lambda: None)
-
-    def test_events_can_schedule_events(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1.0, lambda: q.schedule(2.0, lambda: log.append("chained")))
-        q.run()
-        assert log == ["chained"]
-
-    def test_until_stops_early(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1.0, lambda: log.append(1))
-        q.schedule(10.0, lambda: log.append(2))
-        q.run(until=5.0)
-        assert log == [1]
-        assert len(q) == 1
-
-    def test_runaway_loop_detected(self):
-        q = EventQueue()
-
-        def loop():
-            q.schedule(q.now, loop)
-
-        q.schedule(0.0, loop)
-        with pytest.raises(RuntimeError, match="budget"):
-            q.run(max_events=100)
-
-    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
-    def test_monotone_clock(self, times):
-        q = EventQueue()
-        seen = []
-        for t in times:
-            q.schedule(t, lambda t=t: seen.append(q.now))
-        q.run()
-        assert seen == sorted(seen)
 
 
 class TestGPUPool:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ClusterSimulator,
     Job,
-    SchedulerPolicy,
     evaluate_schedule,
     generate_workload,
     naive_deadline_submission,
@@ -40,7 +39,7 @@ class TestFIFO:
     def test_fifo_head_blocks_queue(self):
         # Head job needs 2 GPUs (unavailable); a 1-GPU job behind it must
         # wait under FIFO even though it would fit.
-        sim = ClusterSimulator(2, policy=SchedulerPolicy.FIFO)
+        sim = ClusterSimulator(2, policy="fifo")
         recs = sim.run(
             [J(0, 1, 10.0, 0.0), J(1, 2, 5.0, 1.0), J(2, 1, 1.0, 2.0)]
         )
@@ -71,7 +70,7 @@ class TestBackfill:
     def test_small_job_backfills_into_gap(self):
         # Head (job 1) needs the full pool and must wait for job 0; job 2 is
         # short enough to finish before job 0 frees the pool.
-        sim = ClusterSimulator(2, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(2, policy="backfill")
         recs = sim.run(
             [J(0, 1, 10.0, 0.0), J(1, 2, 5.0, 1.0), J(2, 1, 2.0, 2.0)]
         )
@@ -79,8 +78,8 @@ class TestBackfill:
         assert recs[1].start_time == 10.0  # head start unharmed
 
     def test_backfill_never_delays_head(self):
-        sim_fifo = ClusterSimulator(2, policy=SchedulerPolicy.FIFO)
-        sim_bf = ClusterSimulator(2, policy=SchedulerPolicy.BACKFILL)
+        sim_fifo = ClusterSimulator(2, policy="fifo")
+        sim_bf = ClusterSimulator(2, policy="backfill")
         jobs = [
             J(0, 1, 10.0, 0.0),
             J(1, 2, 5.0, 1.0),
@@ -96,7 +95,7 @@ class TestBackfill:
         ]
         m_fifo = evaluate_schedule(ClusterSimulator(4).run(list(jobs)))
         m_bf = evaluate_schedule(
-            ClusterSimulator(4, policy=SchedulerPolicy.BACKFILL).run(list(jobs))
+            ClusterSimulator(4, policy="backfill").run(list(jobs))
         )
         assert m_bf.mean_wait < m_fifo.mean_wait
 
@@ -117,7 +116,7 @@ class TestBackfill:
         jobs = [
             Job(i, "p", g, d, s, 1e9) for i, (g, d, s) in enumerate(raw)
         ]
-        sim = ClusterSimulator(4, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(4, policy="backfill")
         recs = sim.run(jobs)  # GPUPool raises internally on over-allocation
         assert all(r.state is JobState.COMPLETED for r in recs)
         # No job starts before submission.
@@ -183,10 +182,10 @@ class TestContentionFinding:
             projects, submit_times=staged_batch_submission(projects), seed=42
         )
         m_naive = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(naive)
+            ClusterSimulator(6, policy="backfill").run(naive)
         )
         m_staged = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(staged)
+            ClusterSimulator(6, policy="backfill").run(staged)
         )
         assert m_naive.missed_deadlines > 0
         assert m_staged.missed_deadlines == 0
@@ -210,7 +209,7 @@ class TestContentionFinding:
 
 class TestEDF:
     def test_earliest_deadline_runs_first(self):
-        sim = ClusterSimulator(1, policy=SchedulerPolicy.EDF)
+        sim = ClusterSimulator(1, policy="edf")
         jobs = [
             Job(0, "late", 1, 5.0, 0.0, deadline=100.0),
             Job(1, "urgent", 1, 5.0, 0.1, deadline=10.0),
@@ -228,15 +227,15 @@ class TestEDF:
             for i in range(1, 6)
         ]
         fifo = evaluate_schedule(
-            ClusterSimulator(2, policy=SchedulerPolicy.FIFO).run(list(jobs))
+            ClusterSimulator(2, policy="fifo").run(list(jobs))
         )
         edf = evaluate_schedule(
-            ClusterSimulator(2, policy=SchedulerPolicy.EDF).run(list(jobs))
+            ClusterSimulator(2, policy="edf").run(list(jobs))
         )
         assert edf.total_lateness <= fifo.total_lateness
 
     def test_stable_among_equal_deadlines(self):
-        sim = ClusterSimulator(1, policy=SchedulerPolicy.EDF)
+        sim = ClusterSimulator(1, policy="edf")
         jobs = [
             Job(0, "a", 1, 1.0, 0.0, deadline=10.0),
             Job(1, "b", 1, 1.0, 0.1, deadline=10.0),
@@ -252,14 +251,14 @@ class TestEDF:
         times = naive_deadline_submission(projects, seed=1)
         jobs = generate_workload(projects, submit_times=times, seed=42)
         m = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.EDF).run(jobs)
+            ClusterSimulator(6, policy="edf").run(jobs)
         )
         assert m.missed_deadlines > 0
 
 
 class TestFairShare:
     def test_light_user_cuts_ahead_of_heavy_backlog(self):
-        sim = ClusterSimulator(1, policy=SchedulerPolicy.FAIRSHARE)
+        sim = ClusterSimulator(1, policy="fairshare")
         jobs = (
             [Job(0, "heavy", 1, 10.0, 0.0, 1e9)]
             + [Job(i, "heavy", 1, 10.0, 0.1, 1e9) for i in (1, 2)]
@@ -271,9 +270,9 @@ class TestFairShare:
         assert recs[3].start_time < recs[1].start_time or recs[3].start_time < recs[2].start_time
 
     def test_usage_accounting(self):
-        sim = ClusterSimulator(2, policy=SchedulerPolicy.FAIRSHARE)
+        sim = ClusterSimulator(2, policy="fairshare")
         sim.run([Job(0, "a", 2, 3.0, 0.0, 1e9), Job(1, "b", 1, 2.0, 0.0, 1e9)])
-        usage = sim.project_usage()
+        usage = sim.usage
         assert usage["a"] == pytest.approx(6.0)
         assert usage["b"] == pytest.approx(2.0)
 
@@ -295,12 +294,10 @@ class TestFairShare:
             smalls = [v for k, v in waits.items() if k.startswith("small")]
             return max(smalls)
 
-        assert max_wait_by_project(SchedulerPolicy.FAIRSHARE) < max_wait_by_project(
-            SchedulerPolicy.FIFO
-        )
+        assert max_wait_by_project("fairshare") < max_wait_by_project("fifo")
 
     def test_all_jobs_still_complete(self):
-        sim = ClusterSimulator(3, policy=SchedulerPolicy.FAIRSHARE)
+        sim = ClusterSimulator(3, policy="fairshare")
         recs = sim.run([Job(i, f"p{i % 3}", 1 + i % 2, 2.0, float(i), 1e9) for i in range(12)])
         assert all(r.state is JobState.COMPLETED for r in recs)
 
@@ -328,10 +325,10 @@ class TestTraceFormat:
         jobs = generate_workload(seed=3)
         replayed = loads_trace(dumps_trace(jobs))
         a = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(list(jobs))
+            ClusterSimulator(6, policy="backfill").run(list(jobs))
         )
         b = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(replayed)
+            ClusterSimulator(6, policy="backfill").run(replayed)
         )
         assert a.mean_wait == b.mean_wait
         assert a.makespan == b.makespan
@@ -361,6 +358,10 @@ class TestTraceFormat:
 
         with pytest.raises(ValueError, match="whitespace"):
             dumps_trace([Job(0, "bad name", 1, 1.0, 0.0, 10.0)])
+        # An empty name would write a 5-field line that loads_trace
+        # cannot read back.
+        with pytest.raises(ValueError, match="empty"):
+            dumps_trace([Job(0, "", 1, 1.0, 0.0, 10.0)])
 
     def test_mem_field_round_trips(self):
         from repro.cluster import dumps_trace, loads_trace
@@ -379,14 +380,6 @@ class TestTraceFormat:
 
 
 class TestPolicyRegistry:
-    def test_enum_and_name_resolve_to_same_schedule(self):
-        jobs = [J(0, 2, 10.0, 0.0), J(1, 1, 5.0, 0.0), J(2, 1, 5.0, 0.0)]
-        by_enum = ClusterSimulator(2, policy=SchedulerPolicy.BACKFILL).run(jobs)
-        by_name = ClusterSimulator(2, policy="backfill").run(jobs)
-        assert [(r.start_time, r.end_time) for r in by_enum] == [
-            (r.start_time, r.end_time) for r in by_name
-        ]
-
     def test_policy_instances_are_accepted(self):
         from repro.cluster.scheduling import HybridBackfill
 
@@ -405,12 +398,6 @@ class TestPolicyRegistry:
     def test_unknown_policy_lists_registry(self):
         with pytest.raises(KeyError, match="backfill"):
             ClusterSimulator(2, policy="wishful-thinking")
-
-    def test_register_policy_rejects_duplicates(self):
-        from repro.cluster import register_policy
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_policy("fifo", lambda: None)
 
     def test_available_policies_cover_the_family(self):
         from repro.cluster import available_policies
@@ -617,7 +604,7 @@ class TestEngineScaling:
     def test_earliest_fit_query_against_running_jobs(self):
         sim = ClusterSimulator(4)
         sim.run([J(0, 4, 10.0, 0.0)], until=1.0)
-        assert sim.earliest_fit(1, 5.0) == 10.0
+        assert sim.calendar.earliest_fit(1, 5.0, sim.now) == 10.0
 
 
 class TestEventOrdering:
@@ -680,10 +667,11 @@ class TestEventOrdering:
             assert len(sim.queue) == 1
             assert sim.now == 0.5  # the clock stops at job 2's submission
             answers[policy] = [
-                sim.earliest_fit(2, 5.0),
-                sim.earliest_fit(4, 5.0),
-                sim.earliest_fit(1, 1.0, mem=6.0),  # 4 GB free until t=5
-                sim.earliest_fit(2, 5.0),  # queries leave no trace
+                sim.calendar.earliest_fit(2, 5.0, sim.now),
+                sim.calendar.earliest_fit(4, 5.0, sim.now),
+                # 4 GB free until t=5
+                sim.calendar.earliest_fit(1, 1.0, sim.now, mem=6.0),
+                sim.calendar.earliest_fit(2, 5.0, sim.now),  # no trace left
             ]
         expected_mem_fit = 5.0 if mem_capacity else 0.5
         assert answers["fifo"] == [5.0, 10.0, expected_mem_fit, 5.0]
@@ -719,3 +707,17 @@ class TestEngineCounters:
         bare = [{**e, "wall": {"wall_s": e["wall"].get("wall_s", 0.0)}}
                 if e["kind"] == "cluster_run_finish" else e for e in events]
         assert stripped(events) == stripped(bare)
+
+    def test_finish_counters_are_per_run(self):
+        from repro import obs
+
+        sim = ClusterSimulator(1, policy="backfill")
+        with obs.capture_events() as events:
+            sim.run([J(0, 1, 1.0, 0.0)])
+            sim.run([J(1, 1, 1.0, 5.0)])
+        finishes = [e["wall"] for e in events
+                    if e["kind"] == "cluster_run_finish"]
+        assert [f["events_fired"] for f in finishes] == [4, 4]
+        assert sum(f["events_fired"] for f in finishes) == \
+            sim.events.events_fired
+        assert sum(f["dispatches"] for f in finishes) == sim.dispatches
