@@ -33,7 +33,7 @@ from typing import Sequence
 
 from repro.api import RunRequest, execute_request
 from repro.exp.reporting import rows_table
-from repro.obs.trace import ProfileReader
+from repro.obs.profile import ProfileReader
 
 
 def measure(

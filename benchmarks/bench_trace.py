@@ -17,7 +17,7 @@ import json
 from conftest import emit
 
 from repro import obs
-from repro.cluster.study import run_policy_traced
+from repro.cluster.study import metrics_and_contention
 from repro.obs.trace import TraceReader, render_summary
 from repro.parallel import ResultCache, pmap
 
@@ -54,11 +54,17 @@ def test_trace_reader_recovers_a_live_sweep(benchmark, tmp_path):
 
 
 def test_trace_reader_recovers_cluster_contention(benchmark):
-    def run():
-        return run_policy_traced([5.0] * 8, n_gpus=2, policy="fifo")
+    with obs.capture_events() as events:
+        metrics, expected = metrics_and_contention(
+            [5.0] * 8, n_gpus=2, policy="fifo"
+        )
 
-    metrics, contention = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert contention is not None
+    def fold():
+        (run,) = TraceReader.from_records(events).cluster_runs()
+        return run
+
+    contention = benchmark.pedantic(fold, rounds=1, iterations=1)
+    assert contention.as_dict() == expected.as_dict()
     assert contention.n_jobs == metrics.n_jobs
     assert contention.makespan == metrics.makespan
     assert 0.0 < contention.utilization <= 1.0

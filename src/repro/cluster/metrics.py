@@ -3,23 +3,134 @@
 The contention story is told by queue-wait statistics near the deadline:
 mean and p95 wait, deadline misses, and total lateness.  Utilization and
 makespan bound how much a staging policy "pays" for decongestion.
+:func:`cluster_contention` folds one run into GPU busy-hours, the
+queue-depth peak and the tail-window utilization; R1 feeds it from job
+records and ``repro trace`` from a recorded event stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.cluster.jobs import JobRecord, JobState
+from repro.obs.baseline import nearest_rank
 
 __all__ = [
+    "TAIL_WINDOW_FRACTION",
+    "ClusterContention",
+    "cluster_contention",
     "ScheduleMetrics",
     "evaluate_schedule",
     "wait_percentiles",
     "tail_utilization",
     "fairness_spread",
 ]
+
+#: The "end of program" window: the last quarter of a cluster run.
+TAIL_WINDOW_FRACTION = 0.25
+
+
+@dataclass
+class ClusterContention:
+    """Contention analytics for one simulated cluster run.
+
+    All times are deterministic *simulation* hours, so these numbers are
+    reproducible across hosts.
+    """
+
+    policy: str
+    n_gpus: int
+    n_jobs: int
+    makespan: float
+    busy_gpu_hours: float
+    peak_queue_depth: int
+    peak_queue_time: float
+    mean_wait: float
+    p95_wait: float
+    tail_utilization: float  # utilization inside the final window
+    # Reservation churn: how many times the scheduler revoked or pushed
+    # back a held start-time promise (conservative/hybrid backfill under
+    # priority reordering).  Zero for FIFO-ordered disciplines.
+    n_preempts: int = 0
+
+    @property
+    def utilization(self) -> float:
+        capacity = self.n_gpus * self.makespan
+        if capacity <= 0:
+            return 0.0
+        return min(1.0, self.busy_gpu_hours / capacity)
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "policy": self.policy,
+            "n_gpus": self.n_gpus,
+            "n_jobs": self.n_jobs,
+            "makespan": self.makespan,
+            "utilization": self.utilization,
+            "tail_utilization": self.tail_utilization,
+            "peak_queue_depth": self.peak_queue_depth,
+            "peak_queue_time": self.peak_queue_time,
+            "mean_wait": self.mean_wait,
+            "p95_wait": self.p95_wait,
+            "n_preempts": self.n_preempts,
+        }
+
+
+def cluster_contention(
+    policy: str,
+    n_gpus: int,
+    n_jobs: int,
+    makespan: float,
+    *,
+    submits: Sequence[float],
+    starts: Sequence[tuple[float, float]],
+    intervals: Sequence[tuple[float, float, int]],
+    n_preempts: int = 0,
+) -> ClusterContention:
+    """Fold one run's jobs into a :class:`ClusterContention`.
+
+    ``submits`` holds every submission time, ``starts`` one
+    ``(start time, wait)`` pair per started job in start order, and
+    ``intervals`` one ``(start, end, n_gpus)`` triple per finished job.
+    The sums run in the order given, so a caller that passes the same
+    sequences gets the same bits.
+    """
+    busy = sum(g * (end - start) for start, end, g in intervals)
+    # Queue depth: submissions push, starts pop; starts sort first at
+    # equal times so depth never counts a job both queued and running.
+    queue_events = [(t, 1) for t in submits] + [(t, -1) for t, _ in starts]
+    depth = peak = 0
+    peak_t = 0.0
+    for t, delta in sorted(queue_events):
+        depth += delta
+        if depth > peak:
+            peak, peak_t = depth, t
+    window = makespan * (1.0 - TAIL_WINDOW_FRACTION)
+    tail_capacity = n_gpus * (makespan - window)
+    tail_busy = sum(
+        g * (min(end, makespan) - max(start, window))
+        for start, end, g in intervals
+        if end > window
+    )
+    waits = [wait for _, wait in starts]
+    return ClusterContention(
+        policy=policy,
+        n_gpus=n_gpus,
+        n_jobs=n_jobs,
+        makespan=makespan,
+        busy_gpu_hours=busy,
+        peak_queue_depth=peak,
+        peak_queue_time=peak_t,
+        mean_wait=sum(waits) / len(waits) if waits else 0.0,
+        p95_wait=nearest_rank(waits, 0.95) if waits else 0.0,
+        tail_utilization=(
+            min(1.0, tail_busy / tail_capacity) if tail_capacity > 0 else 0.0
+        ),
+        n_preempts=n_preempts,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """R1 — end-of-program GPU contention as a registered experiment.
 
-Reproduces ``benchmarks/bench_r1_gpu_contention.py`` string-for-string;
-the benchmark file is now a shim over this module.
+Every R1 value is computed from the simulator's job records, so R1's
+results do not depend on whether telemetry is on: the contention block
+comes from :func:`repro.cluster.metrics.cluster_contention`, fed the
+records in start order.  ``benchmarks/bench_r1_gpu_contention.py`` runs
+these functions standalone.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import time
 
 from repro import obs
 from repro.cluster.metrics import (
+    cluster_contention,
     evaluate_schedule,
     fairness_spread,
     tail_utilization,
@@ -29,7 +33,6 @@ from repro.cluster.workload import (
 from repro.exp.registry import Experiment, register
 from repro.exp.reporting import rows_table
 from repro.exp.result import Block, Check, ExpResult, Verdict
-from repro.obs.trace import TraceReader
 
 __all__ = [
     "r1_submission_policies",
@@ -37,41 +40,33 @@ __all__ = [
     "r1_pool_size_sweep",
     "r1_policy_shootout",
     "c1_throughput_sweep",
-    "run_policy",
-    "run_policy_traced",
+    "metrics_and_contention",
 ]
 
 
-def run_policy(times, n_gpus: int = 6, policy="backfill", seed: int = 42,
-               projects=None):
-    """One season workload under one submission-time plan and discipline."""
-    projects = default_reu_projects() if projects is None else projects
-    jobs = generate_workload(projects, submit_times=times, seed=seed)
-    sim = ClusterSimulator(n_gpus, policy=policy)
-    return evaluate_schedule(sim.run(jobs))
+def metrics_and_contention(times, n_gpus: int = 6, policy="backfill",
+                           seed: int = 42, projects=None):
+    """One season workload under one submission-time plan and discipline:
+    its schedule metrics and its contention analytics.
 
-
-def run_policy_traced(times, n_gpus: int = 6, policy="backfill",
-                      seed: int = 42, projects=None):
-    """Like :func:`run_policy`, plus trace-derived contention analytics.
-
-    The simulator's own ``job_submit``/``job_start``/``job_finish`` events
-    are captured (teed, so a surrounding run's ``events.jsonl`` still
-    receives them) and folded by :class:`repro.obs.trace.TraceReader` into
-    utilization / queue-depth analytics — the same numbers ``repro trace``
-    reports for a recorded run.
+    The contention is folded from the job records in start order.  On
+    every R1 plan and policy this matches ``repro trace``'s fold of the
+    same run's events bit for bit (``tests/test_trace.py`` checks it).
 
     Returns ``(ScheduleMetrics, ClusterContention)``.
     """
     projects = default_reu_projects() if projects is None else projects
     jobs = generate_workload(projects, submit_times=times, seed=seed)
     sim = ClusterSimulator(n_gpus, policy=policy)
-    with obs.capture_events(tee=True) as events:
-        records = sim.run(jobs)
-    # Under REPRO_OBS_DISABLE=1 nothing is captured; analytics degrade to
-    # None rather than fail the experiment.
-    runs = TraceReader.from_records(events).cluster_runs()
-    return evaluate_schedule(records), (runs[0] if runs else None)
+    records = sim.run(jobs)
+    started = sorted(records, key=lambda r: r.start_time)
+    contention = cluster_contention(
+        sim.policy_name, n_gpus, len(jobs), sim.makespan,
+        submits=[r.job.submit_time for r in records],
+        starts=[(r.start_time, r.wait_time) for r in started],
+        intervals=[(r.start_time, r.end_time, r.job.n_gpus) for r in started],
+    )
+    return evaluate_schedule(records), contention
 
 
 def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
@@ -79,10 +74,9 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
     """Naive deadline crunch vs uniform vs the paper's staged remedy.
 
     Besides the queue-wait metrics the rendered table shows, each
-    policy's values carry trace-derived contention analytics (GPU
-    utilization, tail-window utilization, peak queue depth) computed from
-    the simulator's own event stream — the numbers ``repro trace``
-    derives for a recorded run.
+    policy's values carry contention analytics (GPU utilization,
+    tail-window utilization, peak queue depth) — the numbers
+    ``repro trace`` derives for a recorded run.
     """
     projects = default_reu_projects()
     plans = {
@@ -93,7 +87,7 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
     metrics = {}
     contention = {}
     for name, times in plans.items():
-        metrics[name], contention[name] = run_policy_traced(
+        metrics[name], contention[name] = metrics_and_contention(
             times, n_gpus, seed=workload_seed, projects=projects
         )
     return Block(
@@ -103,10 +97,7 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
                    "final_week_wait": float(m.mean_wait_final_week),
                    "missed_deadlines": int(m.missed_deadlines),
                    "total_lateness": float(m.total_lateness),
-                   "contention": (
-                       contention[name].as_dict()
-                       if contention[name] is not None else None
-                   )}
+                   "contention": contention[name].as_dict()}
             for name, m in metrics.items()
         },
         tables=(
@@ -133,8 +124,8 @@ def r1_scheduler_ablation(n_gpus: int = 6, submit_seed: int = 1,
     projects = default_reu_projects()
     times = naive_deadline_submission(projects, seed=submit_seed)
     metrics = {
-        name: run_policy(times, n_gpus, name, seed=workload_seed,
-                         projects=projects)
+        name: metrics_and_contention(times, n_gpus, name, seed=workload_seed,
+                                     projects=projects)[0]
         for name in ("fifo", "backfill", "edf")
     }
     return Block(

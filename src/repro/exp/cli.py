@@ -90,17 +90,13 @@ import repro
 from repro import obs
 from repro.obs.baseline import BaselineStore, HotspotBaseline, median
 from repro.obs.history import HistoryError, RunDiff, RunRegistry, detect_flakiness
+from repro.obs.jsonl import TraceError
+from repro.obs.profile import ProfileReader, render_hotspots
 from repro.obs.resources import DEFAULT_INTERVAL_S
 from repro.obs.watch import watch_run
 from repro.obs.trace import (
-    ProfileReader,
-    ServeTraceIndex,
-    TraceError,
     TraceReader,
     render_critical_path,
-    render_hotspots,
-    render_serve_report,
-    render_serve_trace,
     render_summary,
     render_utilization,
 )
@@ -441,6 +437,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_trace_serve(args: argparse.Namespace) -> int:
     """``repro trace --serve <root>``: stitched per-request timelines."""
+    from repro.serve.access import ServeTraceIndex, render_serve_trace
+
     try:
         index = ServeTraceIndex.load(args.run_dir)
     except TraceError as exc:
@@ -463,6 +461,8 @@ def _cmd_trace_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_report(args: argparse.Namespace) -> int:
+    from repro.serve.access import ServeTraceIndex, render_serve_report
+
     try:
         index = ServeTraceIndex.load(args.root)
     except TraceError as exc:

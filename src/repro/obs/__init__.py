@@ -20,7 +20,11 @@ Read side — what the streams are *for*:
 * **Trace analytics** (:mod:`repro.obs.trace`) — :class:`TraceReader`
   loads a run's ``events.jsonl`` and derives the span tree, critical
   path, per-worker utilization, cluster contention, and per-experiment
-  cache attribution (the ``repro trace`` subcommand).
+  cache attribution (the ``repro trace`` subcommand).  Each other
+  stream's reader sits beside its writer (:class:`ProfileReader` in
+  :mod:`repro.obs.profile`, the access-log reader in
+  :mod:`repro.serve.access`); all of them read through
+  :func:`repro.obs.jsonl.read_strict` and raise :class:`TraceError`.
 * **Perf baselines** (:mod:`repro.obs.baseline`) — a JSON store of
   median-of-k experiment wall times with a noise-tolerant regression
   verdict (the ``repro bench`` subcommand and its CI gate).
@@ -94,8 +98,12 @@ from repro.obs.metrics import (
     TimingHistogram,
     get_metrics,
 )
+from repro.obs.jsonl import TraceError
 from repro.obs.profile import (
+    PROFILE_LOG_NAME,
     DeterministicProfiler,
+    Hotspot,
+    ProfileReader,
     SamplingProfiler,
     attach_worker_profiler,
     resolve_profile,
@@ -109,16 +117,7 @@ from repro.obs.resources import (
     strip_samples,
 )
 from repro.obs.spans import current_span_path, span
-from repro.obs.trace import (
-    ACCESS_LOG_NAME,
-    PROFILE_LOG_NAME,
-    Hotspot,
-    ProfileReader,
-    ResourceUsage,
-    ServeTraceIndex,
-    TraceError,
-    TraceReader,
-)
+from repro.obs.trace import ResourceUsage, TraceReader
 from repro.obs.watch import EventFollower, WatchState, watch_run
 
 __all__ = [
@@ -146,13 +145,11 @@ __all__ = [
     "new_context",
     "current_span_path",
     "span",
-    "ACCESS_LOG_NAME",
     "PROFILE_LOG_NAME",
     "TraceError",
     "TraceReader",
     "ProfileReader",
     "Hotspot",
-    "ServeTraceIndex",
     "ResourceUsage",
     "BaselineEntry",
     "BaselineStore",

@@ -45,6 +45,7 @@ __all__ = [
     "HotspotBaseline",
     "BaselineStore",
     "median",
+    "nearest_rank",
 ]
 
 BASELINE_SCHEMA = 1
@@ -74,6 +75,14 @@ def median(samples: Sequence[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def nearest_rank(samples: Sequence[float], q: float) -> float:
+    """The nearest-rank ``q``-quantile of a non-empty sample list."""
+    if not samples:
+        raise ValueError("quantile of no samples")
+    ordered = sorted(float(s) for s in samples)
+    return ordered[min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))]
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ Environment knobs
 
 The file is a :mod:`repro.obs.jsonl` stream; :func:`read_events` reads
 it back tolerantly and :class:`repro.obs.trace.TraceReader` strictly.
+:func:`check_schema` is the schema check every strict reader of an
+event-shaped stream (``events.jsonl``, ``profile.jsonl``) applies.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.obs import context as _trace_context
-from repro.obs.jsonl import JsonlWriter, disabled, read_jsonl
+from repro.obs.jsonl import JsonlWriter, TraceError, disabled, read_jsonl
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,6 +68,7 @@ __all__ = [
     "emit",
     "quiet",
     "capture_events",
+    "check_schema",
     "read_events",
     "strip_volatile",
 ]
@@ -274,40 +277,9 @@ def quiet() -> Iterator[None]:
         _quiet_depth -= 1
 
 
-class _FanoutLog(EventLog):
-    """Forward every emit to several sinks (used by ``capture_events(tee=)``).
-
-    The first sink's record is returned; each sink keeps its own ``seq``
-    numbering, so teeing into a file-backed log does not disturb that
-    log's sequence.
-    """
-
-    def __init__(self, sinks: tuple[EventLog, ...]) -> None:
-        super().__init__()
-        self._sinks = sinks
-
-    def emit(
-        self,
-        kind: str,
-        payload: Mapping[str, Any] | None = None,
-        wall: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        first: dict[str, Any] | None = None
-        for sink in self._sinks:
-            record = sink.emit(kind, payload, wall)
-            if first is None:
-                first = record
-        assert first is not None
-        return first
-
-
 @contextmanager
-def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
+def capture_events() -> Iterator[list[dict[str, Any]]]:
     """Route global emits into a fresh in-memory log for the block.
-
-    With ``tee=True`` emits are *also* forwarded to whatever logger was
-    active before the block (e.g. a run's ``events.jsonl``), so analysis
-    code can observe a sub-stream without stealing it from the run record.
 
     Examples
     --------
@@ -317,14 +289,34 @@ def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
     ['demo']
     """
     log = EventLog()
-    upstream = get_logger() if tee else None
-    previous = configure(
-        log if upstream is None else _FanoutLog((log, upstream))
-    )
+    previous = configure(log)
     try:
         yield log.records
     finally:
         configure(previous)
+
+
+def check_schema(records: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
+    """Copies of *records* in ``seq`` order, each checked against the schema.
+
+    A record of another schema version, or without ``kind``/``seq``,
+    raises :class:`~repro.obs.jsonl.TraceError`.  The sort is stable, so
+    records of distinct writers that share a ``seq`` keep file order.
+    """
+    out: list[dict[str, Any]] = []
+    for number, record in enumerate(records, start=1):
+        schema = record.get("schema")
+        if schema != SCHEMA_VERSION:
+            raise TraceError(
+                f"record {number} has event schema {schema!r}; this reader "
+                f"understands schema {SCHEMA_VERSION} — re-record the run or "
+                "upgrade repro"
+            )
+        if "kind" not in record or "seq" not in record:
+            raise TraceError(f"record {number} is missing 'kind'/'seq' fields")
+        out.append(dict(record))
+    out.sort(key=lambda r: r["seq"])
+    return out
 
 
 def read_events(path: str | os.PathLike) -> list[dict[str, Any]]:

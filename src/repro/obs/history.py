@@ -328,8 +328,8 @@ class RunRegistry:
 
     # -- index persistence -------------------------------------------------
 
-    def _load_index(self, run_id: str | None = None) -> dict[str, RunRecord]:
-        """Indexed records (only *run_id*'s when given), last line winning.
+    def _load_index(self) -> dict[str, RunRecord]:
+        """Indexed records, last line per run id winning.
 
         Torn, corrupt and foreign-schema lines are skipped, not fatal.
         """
@@ -337,8 +337,6 @@ class RunRegistry:
         if not self.index_path.is_file():
             return records
         for raw in read_jsonl(self.index_path)[0]:
-            if run_id is not None and raw.get("run_id") != run_id:
-                continue
             try:
                 record = RunRecord.from_dict(raw)
             except (HistoryError, KeyError):
@@ -398,11 +396,14 @@ class RunRegistry:
         return sorted(live.values(), key=lambda r: (r.timestamp, r.run_id))
 
     def register(self, run_dir: str | os.PathLike) -> RunRecord:
-        """Parse one freshly finished run and append it to the index."""
+        """Parse one freshly finished run and append it to the index.
+
+        The index is not read: a re-registered run appends a duplicate
+        line, which :meth:`scan` resolves (last line wins), so the cost
+        stays flat as the index grows.
+        """
         record = RunRecord.from_dir(run_dir)
-        prior = self._load_index(record.run_id).get(record.run_id)
-        if prior is None or prior.mtime != record.mtime:
-            self._append([record])
+        self._append([record])
         return record
 
     def get(self, token: str) -> RunRecord:

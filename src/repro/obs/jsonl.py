@@ -14,6 +14,8 @@
   first).  An unterminated last line that does not parse is *torn* — the
   one line a crashed writer can leave.  A complete line that is not a
   JSON object is *corrupt*; whether that is fatal is the caller's call.
+* :func:`read_strict` is the readers' strict form: a missing stream or a
+  corrupt line raises :class:`TraceError`, a torn tail is only flagged.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-__all__ = ["JsonlFollower", "JsonlWriter", "disabled", "read_jsonl"]
+__all__ = ["JsonlFollower", "JsonlWriter", "TraceError", "disabled",
+           "read_jsonl", "read_strict"]
+
+
+class TraceError(ValueError):
+    """A telemetry stream is unreadable: missing, corrupt or of unknown schema."""
 
 
 def disabled() -> bool:
@@ -150,3 +157,26 @@ def read_jsonl(
         torn = torn or follower.torn
         lines += follower.lines
     return records, torn, corrupt
+
+
+def read_strict(
+    source: str | os.PathLike, name: str, missing: str
+) -> tuple[Path, list[dict[str, Any]], bool]:
+    """Read stream *name* in directory *source* (or the file *source*).
+
+    Returns ``(path, records, torn)``.  A missing stream raises
+    :class:`TraceError` with *missing* (``{path}`` is filled in), and so
+    does the first corrupt line.
+    """
+    path = Path(source)
+    if path.is_dir():
+        path = path / name
+    try:
+        records, torn, corrupt = read_jsonl(path)
+    except FileNotFoundError:
+        raise TraceError(missing.format(path=path)) from None
+    if corrupt:
+        raise TraceError(
+            f"corrupt event record on line {corrupt[0]}: not a JSON object"
+        )
+    return path, records, torn

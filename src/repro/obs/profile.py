@@ -1,12 +1,11 @@
 """Per-span CPU profiling: where the time goes *inside* a span.
 
 Spans (:mod:`repro.obs.spans`) say which region of a run was slow; this
-module says which *function* inside it.  ROADMAP item 3 demands
-order-of-magnitude wins in the ``repro.nn``/``repro.autotune`` hot paths,
-and a perf claim without a function-level trail is guesswork — so every
-profiled run records per-function cost as a machine-checkable artifact
-(``profile.jsonl`` beside ``events.jsonl``) that ``repro profile`` can
-read back and ``repro bench --against`` can gate.
+module says which *function* inside it.  A perf claim without a
+function-level trail is guesswork, so every profiled run records
+per-function cost as a machine-checkable artifact (``profile.jsonl``
+beside ``events.jsonl``) that ``repro profile`` reads back and
+``repro bench --against`` can gate.
 
 Two profilers, one stream
 -------------------------
@@ -45,6 +44,14 @@ in-memory captures.  A profiled run's stripped event stream, canonical
 ``results.json`` bytes, and request digest are byte-identical to an
 unprofiled run's — the test suite enforces all three.
 
+Read side
+---------
+:class:`ProfileReader` loads ``profile.jsonl`` (strictly, through
+:func:`repro.obs.jsonl.read_strict` and
+:func:`repro.obs.events.check_schema`) and derives per-span hotspot
+tables, per-process splits and collapsed-stack flamegraphs;
+:func:`render_hotspots` is the ``repro profile`` text view.
+
 Knobs: ``--profile [sampling|deterministic|SEC]`` on ``repro run`` /
 ``repro bench``, or ``REPRO_OBS_PROFILE`` (``1``/``sampling`` for the
 default cadence, ``deterministic``, or a float interval in seconds).
@@ -59,11 +66,13 @@ import pstats
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.obs.events import EventLog
-from repro.obs.jsonl import disabled
+from repro.obs.events import SCHEMA_VERSION, EventLog, check_schema
+from repro.obs.jsonl import TraceError, disabled, read_strict
 from repro.obs.spans import current_span_path
+from repro.utils.tables import Table
 
 __all__ = [
     "PROFILE_KIND",
@@ -75,7 +84,10 @@ __all__ = [
     "DEFAULT_INTERVAL_S",
     "SamplingProfiler",
     "DeterministicProfiler",
+    "Hotspot",
+    "ProfileReader",
     "attach_worker_profiler",
+    "render_hotspots",
     "resolve_profile",
     "short_file",
 ]
@@ -90,6 +102,10 @@ PROFILE_LOG_NAME = "profile.jsonl"
 #: Default sampling cadence: 5 ms gives a seconds-long smoke experiment
 #: hundreds of samples at well under the CI overhead budget.
 DEFAULT_INTERVAL_S = 0.005
+
+#: Weight-to-count unit for flamegraph export: one count per default
+#: sampler tick, so a 5 ms-interval run exports its raw sample counts.
+DEFAULT_FLAME_UNIT_S = DEFAULT_INTERVAL_S
 
 #: Stacks deeper than this are truncated at the root end — the leaf
 #: (the executing function) is what hotspot attribution needs.
@@ -365,3 +381,397 @@ def attach_worker_profiler() -> SamplingProfiler | None:
     profiler.start()
     _worker_profilers.append(profiler)
     return profiler
+
+
+# ---------------------------------------------------------------------------
+# The read side: hotspot analytics over profile.jsonl
+
+
+@dataclass
+class Hotspot:
+    """One function's aggregated cost across a profile stream.
+
+    Weights are approximate CPU seconds: in sampling mode each stack
+    capture contributes its sampling interval, in deterministic mode the
+    cProfile ``tottime``/``cumtime`` are used directly.  ``self_weight``
+    counts only samples whose *leaf* frame is this function (exclusive
+    time); ``total_weight`` counts every sample the function appears in
+    anywhere on the stack (inclusive time, recursion-safe).
+    """
+
+    func: str
+    file: str
+    line: int
+    self_weight: float = 0.0
+    total_weight: float = 0.0
+    # Exclusive weight split per sampled process, keyed "role:pid" —
+    # the per-worker view of where a pmap-heavy span burns its time.
+    by_process: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def key(self) -> str:
+        """The line-number-free identity used by the hotspot baseline gate
+        (edits above a function must not churn its baseline key)."""
+        return f"{self.file}:{self.func}"
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "func": self.func,
+            "file": self.file,
+            "line": self.line,
+            "self_s": self.self_weight,
+            "total_s": self.total_weight,
+            "by_process": dict(sorted(self.by_process.items())),
+        }
+
+
+class ProfileReader:
+    """Load one ``profile.jsonl`` stream and derive hotspot analytics.
+
+    Construct with :meth:`load` (a path to ``profile.jsonl`` or to the
+    run directory that contains it) or :meth:`from_records` (in-memory
+    records from a :class:`repro.obs.events.EventLog`).  Handles both
+    record kinds the write side emits: ``profile_sample`` stacks from the
+    sampling profiler (coordinator and pmap workers interleaved in one
+    stream) and ``profile_stat`` rows from the deterministic cProfile
+    fallback.
+
+    Span filters accept a path prefix: ``span="E6"`` matches samples
+    stamped ``E6`` *and* any nested span under it (``E6/sweep/...``), so
+    one experiment's whole subtree aggregates naturally.
+    """
+
+    def __init__(
+        self,
+        records: Sequence[Mapping[str, Any]],
+        *,
+        truncated: bool = False,
+        source: str | None = None,
+    ) -> None:
+        self.events = check_schema(records)
+        self.truncated = truncated
+        self.source = source
+        self.samples = [e for e in self.events if e["kind"] == PROFILE_KIND]
+        self.stats = [e for e in self.events if e["kind"] == STAT_KIND]
+
+    @classmethod
+    def load(cls, source: str | os.PathLike) -> "ProfileReader":
+        """Read ``profile.jsonl`` from a file path or a run directory."""
+        path, records, truncated = read_strict(
+            source,
+            PROFILE_LOG_NAME,
+            "no profile stream at {path} — record one with "
+            "'repro run ... --profile'",
+        )
+        return cls(records, truncated=truncated, source=str(path))
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[Mapping[str, Any]]
+    ) -> "ProfileReader":
+        """Wrap already-parsed profile records (validated the same way)."""
+        return cls(records)
+
+    def __len__(self) -> int:
+        return len(self.samples) + len(self.stats)
+
+    @property
+    def mode(self) -> str:
+        """``sampling``, ``deterministic``, or ``empty`` (no ticks landed)."""
+        if self.samples:
+            return "sampling"
+        return "deterministic" if self.stats else "empty"
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples)
+
+    # -- span bookkeeping --------------------------------------------------
+
+    @staticmethod
+    def _span_of(wall: Mapping[str, Any]) -> str:
+        return str(wall.get("span") or "") or "(run)"
+
+    @staticmethod
+    def _span_matches(span_filter: str | None, span: str) -> bool:
+        if span_filter is None:
+            return True
+        return span == span_filter or span.startswith(span_filter + "/")
+
+    @staticmethod
+    def _sample_weight(wall: Mapping[str, Any]) -> float:
+        interval = wall.get("interval_s")
+        try:
+            weight = float(interval) if interval is not None else 0.0
+        except (TypeError, ValueError):
+            weight = 0.0
+        return weight if weight > 0 else 1.0
+
+    def _weight(self, event: Mapping[str, Any]) -> float:
+        """A sample's interval, or a stat row's exclusive time."""
+        wall = event.get("wall", {})
+        if event["kind"] == PROFILE_KIND:
+            return self._sample_weight(wall)
+        return float(wall.get("tottime_s", 0.0) or 0.0)
+
+    def spans(self) -> dict[str, float]:
+        """Exclusive weight per span path, heaviest first.
+
+        Span paths are the *innermost* paths the profiler stamped;
+        experiment-level aggregation happens via the prefix-matching
+        span filters on :meth:`hotspots`/:meth:`shares`.
+        """
+        out: dict[str, float] = {}
+        for event in self.samples + self.stats:
+            span = self._span_of(event.get("wall", {}))
+            out[span] = out.get(span, 0.0) + self._weight(event)
+        return dict(sorted(out.items(), key=lambda kv: kv[1], reverse=True))
+
+    def total_weight(self, span: str | None = None) -> float:
+        """The sum of exclusive weights inside a span subtree (or the run)."""
+        return sum(
+            weight
+            for path, weight in self.spans().items()
+            if self._span_matches(span, path)
+        )
+
+    # -- hotspots ----------------------------------------------------------
+
+    def hotspots(self, span: str | None = None) -> list[Hotspot]:
+        """Per-function costs inside a span subtree, largest self first."""
+        table: dict[tuple[str, str, int], Hotspot] = {}
+
+        def slot(func: str, file: str, line: int) -> Hotspot:
+            key = (func, file, line)
+            if key not in table:
+                table[key] = Hotspot(func=func, file=file, line=line)
+            return table[key]
+
+        for event in self.samples:
+            wall = event.get("wall", {})
+            if not self._span_matches(span, self._span_of(wall)):
+                continue
+            stack = wall.get("stack") or []
+            if not stack:
+                continue
+            weight = self._sample_weight(wall)
+            process = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
+            func, file, line = stack[-1]
+            leaf = slot(str(func), str(file), int(line))
+            leaf.self_weight += weight
+            leaf.by_process[process] = leaf.by_process.get(process, 0.0) + weight
+            seen: set[tuple[str, str, int]] = set()
+            for func, file, line in stack:
+                frame = (str(func), str(file), int(line))
+                if frame in seen:
+                    continue  # recursion: inclusive time counts once
+                seen.add(frame)
+                slot(*frame).total_weight += weight
+        for event in self.stats:
+            wall = event.get("wall", {})
+            if not self._span_matches(span, self._span_of(wall)):
+                continue
+            process = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
+            entry = slot(
+                str(wall.get("func", "?")),
+                str(wall.get("file", "?")),
+                int(wall.get("line", 0) or 0),
+            )
+            tottime = float(wall.get("tottime_s", 0.0) or 0.0)
+            entry.self_weight += tottime
+            entry.total_weight += float(wall.get("cumtime_s", 0.0) or 0.0)
+            entry.by_process[process] = (
+                entry.by_process.get(process, 0.0) + tottime
+            )
+        return sorted(
+            table.values(),
+            key=lambda h: (-h.self_weight, -h.total_weight, h.key),
+        )
+
+    def shares(
+        self, span: str | None = None, top: int | None = None
+    ) -> dict[str, float]:
+        """Each function's fraction of a span's exclusive weight.
+
+        Keyed by the line-free :attr:`Hotspot.key`; rows for the same
+        function at different lines merge.  This is the quantity the
+        :class:`repro.obs.baseline.HotspotBaseline` gate records and
+        compares.
+        """
+        total = self.total_weight(span)
+        if total <= 0:
+            return {}
+        merged: dict[str, float] = {}
+        for hotspot in self.hotspots(span):
+            merged[hotspot.key] = merged.get(hotspot.key, 0.0) + (
+                hotspot.self_weight / total
+            )
+        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+        if top is not None:
+            ranked = ranked[:top]
+        return dict(ranked)
+
+    def processes(self, span: str | None = None) -> list[dict[str, Any]]:
+        """Per-process sample totals: the coordinator/worker split."""
+        out: dict[str, dict[str, Any]] = {}
+        for event in self.samples + self.stats:
+            wall = event.get("wall", {})
+            if not self._span_matches(span, self._span_of(wall)):
+                continue
+            key = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
+            slot = out.setdefault(
+                key,
+                {
+                    "pid": str(wall.get("pid", "?")),
+                    "role": str(wall.get("role", "?")),
+                    "n_samples": 0,
+                    "weight_s": 0.0,
+                },
+            )
+            slot["n_samples"] += 1
+            slot["weight_s"] += self._weight(event)
+
+        def order(slot: dict[str, Any]) -> tuple[int, str]:
+            return (0 if slot["role"] == "coordinator" else 1, slot["pid"])
+
+        return sorted(out.values(), key=order)
+
+    # -- flamegraph export -------------------------------------------------
+
+    def collapsed(self, span: str | None = None) -> dict[str, float]:
+        """Collapsed stacks: ``"frame;frame;frame" -> weight``.
+
+        Sampling mode only — deterministic cProfile rows carry no stacks,
+        so they collapse to nothing (callers should check :attr:`mode`).
+        """
+        out: dict[str, float] = {}
+        for event in self.samples:
+            wall = event.get("wall", {})
+            if not self._span_matches(span, self._span_of(wall)):
+                continue
+            stack = wall.get("stack") or []
+            if not stack:
+                continue
+            label = ";".join(
+                f"{func} ({file}:{line})".replace(";", ",")
+                for func, file, line in stack
+            )
+            out[label] = out.get(label, 0.0) + self._sample_weight(wall)
+        return out
+
+    def flamegraph(self, span: str | None = None) -> str:
+        """The stream in collapsed-stack format (flamegraph.pl / speedscope).
+
+        One ``stack count`` line per unique stack; counts are sample
+        counts scaled back out of the weights, so the file stays valid
+        for tooling that expects integers.  Deterministic-mode streams
+        carry no stacks, so asking them for a flamegraph is an error,
+        not an empty file.
+        """
+        if self.stats and not self.samples:
+            raise TraceError(
+                "deterministic profiles carry no stacks — record with "
+                "'--profile' (sampling mode) for a flamegraph"
+            )
+        lines = []
+        for label, weight in sorted(self.collapsed(span).items()):
+            count = max(1, round(weight / DEFAULT_FLAME_UNIT_S))
+            lines.append(f"{label} {count}")
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    # -- summary -----------------------------------------------------------
+
+    def summary(self, top: int = 10) -> dict[str, Any]:
+        """The whole profile analysis as one JSON-able document."""
+        total = self.total_weight()
+        return {
+            "schema": SCHEMA_VERSION,
+            "source": self.source,
+            "mode": self.mode,
+            "truncated": self.truncated,
+            "n_samples": self.n_samples,
+            "n_stat_rows": len(self.stats),
+            "total_weight_s": total,
+            "spans": self.spans(),
+            "processes": self.processes(),
+            "hotspots": [
+                {
+                    **h.as_dict(),
+                    "self_frac": h.self_weight / total if total > 0 else 0.0,
+                    "total_frac": h.total_weight / total if total > 0 else 0.0,
+                }
+                for h in self.hotspots()[:top]
+            ],
+        }
+
+
+def render_hotspots(
+    profile: ProfileReader, *, top: int = 10, span: str | None = None
+) -> str:
+    """Per-span hotspot tables (``repro profile``); returned, never printed."""
+    blocks: list[str] = []
+    head = Table(["field", "value"], title="profile summary", decimals=4)
+    head.add_row(["source", profile.source or "(in-memory)"])
+    head.add_row(["mode", profile.mode])
+    head.add_row(["samples", profile.n_samples])
+    if profile.stats:
+        head.add_row(["stat rows", len(profile.stats)])
+    head.add_row(["truncated tail", profile.truncated])
+    if span is not None:
+        head.add_row(["span filter", span])
+    blocks.append(head.render())
+
+    if profile.mode == "empty":
+        blocks.append(
+            "no profile ticks landed — the run finished inside one sampling "
+            "interval; lower the interval (--profile 0.001) or use "
+            "--profile deterministic"
+        )
+        return "\n\n".join(blocks)
+
+    spans = {
+        path: weight
+        for path, weight in profile.spans().items()
+        if profile._span_matches(span, path)
+    }
+    run_total = sum(spans.values())
+    if len(spans) > 1:
+        table = Table(["span", "self s", "share"], title="spans", decimals=3)
+        for path, weight in spans.items():
+            table.add_row([
+                path, weight,
+                f"{100 * weight / run_total:.0f}%" if run_total > 0 else "-",
+            ])
+        blocks.append(table.render())
+
+    total = profile.total_weight(span)
+    hotspots = profile.hotspots(span)[:top]
+    if hotspots:
+        table = Table(
+            ["function", "file:line", "self s", "self %", "total %", "procs"],
+            title="hotspots" if span is None else f"hotspots — {span}",
+            decimals=3,
+        )
+        for h in hotspots:
+            table.add_row([
+                h.func, f"{h.file}:{h.line}", h.self_weight,
+                f"{100 * h.self_weight / total:.1f}" if total > 0 else "-",
+                f"{100 * min(1.0, h.total_weight / total):.1f}"
+                if total > 0 else "-",
+                len(h.by_process),
+            ])
+        blocks.append(table.render())
+
+    processes = profile.processes(span)
+    if len(processes) > 1:
+        table = Table(
+            ["process", "role", "samples", "weight s", "share"],
+            title="per-process split", decimals=3,
+        )
+        for slot in processes:
+            table.add_row([
+                slot["pid"], slot["role"], slot["n_samples"], slot["weight_s"],
+                f"{100 * slot['weight_s'] / total:.0f}%" if total > 0 else "-",
+            ])
+        blocks.append(table.render())
+    return "\n\n".join(blocks)

@@ -1,4 +1,4 @@
-"""Trace analytics: the read side of the run-telemetry layer.
+"""Trace analytics: the read side of ``events.jsonl``.
 
 :mod:`repro.obs.events` writes schema-versioned JSONL streams; this module
 reads them back and answers the questions the paper's §3–§4 resource
@@ -12,93 +12,54 @@ derives:
 * **per-worker utilization** for every :func:`repro.parallel.pmap` call —
   busy/idle fractions per worker pid, cell-duration tails, and straggler
   cells (the single slow trial that holds the pool hostage);
-* **cluster contention** for every simulated scheduler run — GPU busy
-  fraction, queue-depth peaks, and the tail-window utilization spike that
-  is the end-of-program crunch in miniature;
+* **cluster contention** for every simulated scheduler run — the job
+  events folded by :func:`repro.cluster.metrics.cluster_contention`;
 * **cache attribution** — hit/miss/store counts per experiment, so a
   warm re-run can prove *which* experiment the cache actually served;
 * **resource usage** — when the run was sampled
   (:mod:`repro.obs.resources`), peak RSS and CPU per pid (coordinator and
   each pool worker) and peak RSS per open span.
 
-Beyond the single-run boundary, :class:`ServeTraceIndex` stitches a
-serve root's ``access.jsonl`` (:mod:`repro.serve.access`) to its run
-directories on ``trace_id``, powering ``repro trace --serve`` and the
-``repro serve-report`` fleet aggregates.
+The other streams are read beside their writers:
+:class:`repro.obs.profile.ProfileReader` reads ``profile.jsonl`` and
+:class:`repro.serve.access.ServeTraceIndex` reads ``access.jsonl``.
 
-Loading follows the :mod:`repro.obs.jsonl` read rule and is forgiving in
-exactly one way: a torn final line (the writer died mid-record) is
-dropped and flagged.  Everything else — a corrupt complete line, an
-unknown schema version — is a hard :class:`TraceError`, never a silent
-skip.
+Loading uses :func:`repro.obs.jsonl.read_strict` and
+:func:`repro.obs.events.check_schema`, and is forgiving in exactly one
+way: a torn final line (the writer died mid-record) is dropped and
+flagged.  Everything else — a corrupt complete line, an unknown schema
+version — is a hard :class:`~repro.obs.jsonl.TraceError`, never a
+silent skip.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.obs.events import SCHEMA_VERSION
-from repro.obs.jsonl import read_jsonl
-from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME, STAT_KIND
+from repro.obs.baseline import median, nearest_rank
+from repro.obs.events import SCHEMA_VERSION, check_schema
+from repro.obs.jsonl import read_strict
 from repro.utils.tables import Table
 
+if TYPE_CHECKING:
+    from repro.cluster.metrics import ClusterContention
+
 __all__ = [
-    "ACCESS_LOG_NAME",
-    "PROFILE_LOG_NAME",
-    "TraceError",
     "SpanNode",
     "PmapCall",
     "WorkerSlice",
-    "ClusterContention",
     "CacheAttribution",
     "ResourceUsage",
-    "Hotspot",
     "TraceReader",
-    "ProfileReader",
-    "ServeTraceIndex",
     "render_summary",
     "render_utilization",
     "render_critical_path",
-    "render_hotspots",
-    "render_serve_trace",
-    "render_serve_report",
 ]
-
-#: File name of the serve stack's access log under a serve root (write
-#: side: :class:`repro.serve.access.AccessLog`).
-ACCESS_LOG_NAME = "access.jsonl"
 
 #: A cell counts as a straggler when it runs this many times the median.
 STRAGGLER_FACTOR = 2.0
-
-#: The "end of program" window: the last quarter of a cluster run.
-TAIL_WINDOW_FRACTION = 0.25
-
-
-class TraceError(ValueError):
-    """The event stream is unreadable: corrupt record or unknown schema."""
-
-
-def _percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted sequence (0 when empty)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return float(ordered[rank])
-
-
-def _median(values: Sequence[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +140,13 @@ class PmapCall:
 
     @property
     def median_cell_s(self) -> float:
-        return _median(list(self.cell_durations.values()))
+        durations = list(self.cell_durations.values())
+        return median(durations) if durations else 0.0
 
     @property
     def p95_cell_s(self) -> float:
-        return _percentile(list(self.cell_durations.values()), 0.95)
+        durations = list(self.cell_durations.values())
+        return nearest_rank(durations, 0.95) if durations else 0.0
 
     def stragglers(self, factor: float = STRAGGLER_FACTOR) -> list[dict[str, Any]]:
         """Cells whose duration exceeds ``factor`` x the median cell time."""
@@ -219,54 +182,6 @@ class PmapCall:
                 }
                 for w in self.worker_slices
             ],
-        }
-
-
-@dataclass
-class ClusterContention:
-    """Contention analytics for one simulated cluster run.
-
-    All times are deterministic *simulation* hours (they ride in event
-    payloads, not the volatile wall section), so these numbers are
-    reproducible across hosts — the trace-side mirror of the paper's
-    staged-collection remedy.
-    """
-
-    policy: str
-    n_gpus: int
-    n_jobs: int
-    makespan: float
-    busy_gpu_hours: float
-    peak_queue_depth: int
-    peak_queue_time: float
-    mean_wait: float
-    p95_wait: float
-    tail_utilization: float  # utilization inside the final window
-    # Reservation churn: how many times the scheduler revoked or pushed
-    # back a held start-time promise (conservative/hybrid backfill under
-    # priority reordering).  Zero for FIFO-ordered disciplines.
-    n_preempts: int = 0
-
-    @property
-    def utilization(self) -> float:
-        capacity = self.n_gpus * self.makespan
-        if capacity <= 0:
-            return 0.0
-        return min(1.0, self.busy_gpu_hours / capacity)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "n_gpus": self.n_gpus,
-            "n_jobs": self.n_jobs,
-            "makespan": self.makespan,
-            "utilization": self.utilization,
-            "tail_utilization": self.tail_utilization,
-            "peak_queue_depth": self.peak_queue_depth,
-            "peak_queue_time": self.peak_queue_time,
-            "mean_wait": self.mean_wait,
-            "p95_wait": self.p95_wait,
-            "n_preempts": self.n_preempts,
         }
 
 
@@ -329,43 +244,6 @@ class ResourceUsage:
 # Loading and validation
 
 
-def _read_stream(
-    source: str | os.PathLike, name: str, missing: str
-) -> tuple[Path, list[dict[str, Any]], bool]:
-    """Read stream *name* (or *source* itself) strictly: corrupt lines raise."""
-    path = Path(source)
-    if path.is_dir():
-        path = path / name
-    try:
-        records, truncated, corrupt = read_jsonl(path)
-    except FileNotFoundError:
-        raise TraceError(missing.format(path=path)) from None
-    if corrupt:
-        raise TraceError(
-            f"corrupt event record on line {corrupt[0]}: not a JSON object"
-        )
-    return path, records, truncated
-
-
-def _validate(records: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
-    out: list[dict[str, Any]] = []
-    for number, record in enumerate(records, start=1):
-        schema = record.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise TraceError(
-                f"record {number} has event schema {schema!r}; this reader "
-                f"understands schema {SCHEMA_VERSION} — re-record the run or "
-                "upgrade repro"
-            )
-        if "kind" not in record or "seq" not in record:
-            raise TraceError(f"record {number} is missing 'kind'/'seq' fields")
-        out.append(dict(record))
-    # Stable sort restores writer order even if concurrent appenders
-    # interleaved lines; ties (distinct writers sharing seq) keep file order.
-    out.sort(key=lambda r: r["seq"])
-    return out
-
-
 class TraceReader:
     """Load one event stream and derive run analytics from it.
 
@@ -394,14 +272,14 @@ class TraceReader:
         truncated: bool = False,
         source: str | None = None,
     ) -> None:
-        self.events = _validate(records)
+        self.events = check_schema(records)
         self.truncated = truncated
         self.source = source
 
     @classmethod
     def load(cls, source: str | os.PathLike) -> "TraceReader":
         """Read ``events.jsonl`` from a file path or a run directory."""
-        path, records, truncated = _read_stream(
+        path, records, truncated = read_strict(
             source, "events.jsonl", "no event stream at {path}"
         )
         return cls(records, truncated=truncated, source=str(path))
@@ -537,87 +415,46 @@ class TraceReader:
     # -- cluster contention ----------------------------------------------
 
     def cluster_runs(self) -> list[ClusterContention]:
-        """One :class:`ClusterContention` per simulated scheduler run."""
-        runs: list[ClusterContention] = []
-        frame: dict[str, Any] | None = None
+        """One :class:`~repro.cluster.metrics.ClusterContention` per
+        simulated scheduler run, folded from its events in stream order."""
+        from repro.cluster.metrics import cluster_contention
+
+        runs = []
+        opened: dict[str, Any] | None = None  # the run's start payload
         for event in self.events:
             kind = event["kind"]
             payload = event.get("payload", {})
             if kind == "cluster_run_start":
-                frame = {
-                    "n_jobs": int(payload.get("n_jobs", 0)),
-                    "n_gpus": int(payload.get("n_gpus", 0)),
-                    "policy": str(payload.get("policy", "?")),
-                    "gpus_of": {},
-                    "starts": {},
-                    "waits": [],
-                    "intervals": [],
-                    "queue_events": [],  # (t, +1 submit / -1 start)
-                    "n_preempts": 0,
-                }
-            elif frame is None:
+                opened, n_preempts = payload, 0
+                gpus_of: dict[Any, int] = {}
+                start_of: dict[Any, float] = {}
+                submits, starts, intervals = [], [], []
+            elif opened is None:
                 continue
             elif kind == "job_submit":
-                frame["gpus_of"][payload["job_id"]] = int(payload.get("n_gpus", 1))
-                frame["queue_events"].append((float(payload["t"]), 1))
+                gpus_of[payload["job_id"]] = int(payload.get("n_gpus", 1))
+                submits.append(float(payload["t"]))
             elif kind == "job_start":
-                frame["starts"][payload["job_id"]] = float(payload["t"])
-                frame["waits"].append(float(payload.get("wait", 0.0)))
-                frame["queue_events"].append((float(payload["t"]), -1))
+                t = start_of[payload["job_id"]] = float(payload["t"])
+                starts.append((t, float(payload.get("wait", 0.0))))
             elif kind == "job_preempt":
-                frame["n_preempts"] += 1
+                n_preempts += 1
             elif kind == "job_finish":
                 job_id = payload["job_id"]
-                start = frame["starts"].get(job_id)
-                if start is not None:
-                    frame["intervals"].append(
-                        (start, float(payload["t"]),
-                         frame["gpus_of"].get(job_id, 1))
-                    )
+                if job_id in start_of:
+                    intervals.append((start_of[job_id], float(payload["t"]),
+                                      gpus_of.get(job_id, 1)))
             elif kind == "cluster_run_finish":
-                makespan = float(payload.get("makespan", 0.0))
-                runs.append(self._fold_cluster(frame, makespan))
-                frame = None
+                runs.append(cluster_contention(
+                    str(opened.get("policy", "?")),
+                    int(opened.get("n_gpus", 0)),
+                    int(opened.get("n_jobs", 0)),
+                    float(payload.get("makespan", 0.0)),
+                    submits=submits, starts=starts, intervals=intervals,
+                    n_preempts=n_preempts,
+                ))
+                opened = None
         return runs
-
-    @staticmethod
-    def _fold_cluster(
-        frame: dict[str, Any], makespan: float
-    ) -> ClusterContention:
-        busy = sum(g * (end - start) for start, end, g in frame["intervals"])
-        # Queue depth: submissions push, starts pop; starts sort first at
-        # equal times so depth never counts a job both queued and running.
-        depth = peak = 0
-        peak_t = 0.0
-        for t, delta in sorted(frame["queue_events"], key=lambda e: (e[0], e[1])):
-            depth += delta
-            if depth > peak:
-                peak, peak_t = depth, t
-        window = makespan * (1.0 - TAIL_WINDOW_FRACTION)
-        tail_span = makespan - window
-        tail_busy = sum(
-            g * (min(end, makespan) - max(start, window))
-            for start, end, g in frame["intervals"]
-            if end > window
-        )
-        tail_capacity = frame["n_gpus"] * tail_span
-        return ClusterContention(
-            policy=frame["policy"],
-            n_gpus=frame["n_gpus"],
-            n_jobs=frame["n_jobs"],
-            makespan=makespan,
-            busy_gpu_hours=busy,
-            peak_queue_depth=peak,
-            peak_queue_time=peak_t,
-            mean_wait=(
-                sum(frame["waits"]) / len(frame["waits"]) if frame["waits"] else 0.0
-            ),
-            p95_wait=_percentile(frame["waits"], 0.95),
-            tail_utilization=(
-                min(1.0, tail_busy / tail_capacity) if tail_capacity > 0 else 0.0
-            ),
-            n_preempts=frame["n_preempts"],
-        )
 
     # -- cache attribution ------------------------------------------------
 
@@ -911,838 +748,3 @@ def render_critical_path(reader: TraceReader) -> str:
             hop["self_s"], f"{100 * hop['fraction']:.0f}%",
         ])
     return table.render()
-
-
-# ---------------------------------------------------------------------------
-# Profile analytics: the read side of repro.obs.profile
-
-
-@dataclass
-class Hotspot:
-    """One function's aggregated cost across a profile stream.
-
-    Weights are approximate CPU seconds: in sampling mode each stack
-    capture contributes its sampling interval, in deterministic mode the
-    cProfile ``tottime``/``cumtime`` are used directly.  ``self_weight``
-    counts only samples whose *leaf* frame is this function (exclusive
-    time); ``total_weight`` counts every sample the function appears in
-    anywhere on the stack (inclusive time, recursion-safe).
-    """
-
-    func: str
-    file: str
-    line: int
-    self_weight: float = 0.0
-    total_weight: float = 0.0
-    # Exclusive weight split per sampled process, keyed "role:pid" —
-    # the per-worker view of where a pmap-heavy span burns its time.
-    by_process: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def key(self) -> str:
-        """The line-number-free identity used by the hotspot baseline gate
-        (edits above a function must not churn its baseline key)."""
-        return f"{self.file}:{self.func}"
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "func": self.func,
-            "file": self.file,
-            "line": self.line,
-            "self_s": self.self_weight,
-            "total_s": self.total_weight,
-            "by_process": dict(sorted(self.by_process.items())),
-        }
-
-
-class ProfileReader:
-    """Load one ``profile.jsonl`` stream and derive hotspot analytics.
-
-    Construct with :meth:`load` (a path to ``profile.jsonl`` or to the
-    run directory that contains it) or :meth:`from_records` (in-memory
-    records from a :class:`repro.obs.events.EventLog`).  Handles both
-    record kinds the write side emits: ``profile_sample`` stacks from the
-    sampling profiler (coordinator and pmap workers interleaved in one
-    stream) and ``profile_stat`` rows from the deterministic cProfile
-    fallback.
-
-    Span filters accept a path prefix: ``span="E6"`` matches samples
-    stamped ``E6`` *and* any nested span under it (``E6/sweep/...``), so
-    one experiment's whole subtree aggregates naturally.
-    """
-
-    def __init__(
-        self,
-        records: Sequence[Mapping[str, Any]],
-        *,
-        truncated: bool = False,
-        source: str | None = None,
-    ) -> None:
-        self.events = _validate(records)
-        self.truncated = truncated
-        self.source = source
-        self.samples = [e for e in self.events if e["kind"] == PROFILE_KIND]
-        self.stats = [e for e in self.events if e["kind"] == STAT_KIND]
-
-    @classmethod
-    def load(cls, source: str | os.PathLike) -> "ProfileReader":
-        """Read ``profile.jsonl`` from a file path or a run directory."""
-        path, records, truncated = _read_stream(
-            source,
-            PROFILE_LOG_NAME,
-            "no profile stream at {path} — record one with "
-            "'repro run ... --profile'",
-        )
-        return cls(records, truncated=truncated, source=str(path))
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[Mapping[str, Any]]
-    ) -> "ProfileReader":
-        """Wrap already-parsed profile records (validated the same way)."""
-        return cls(records)
-
-    def __len__(self) -> int:
-        return len(self.samples) + len(self.stats)
-
-    @property
-    def mode(self) -> str:
-        """``sampling``, ``deterministic``, or ``empty`` (no ticks landed)."""
-        if self.samples:
-            return "sampling"
-        return "deterministic" if self.stats else "empty"
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
-    # -- span bookkeeping --------------------------------------------------
-
-    @staticmethod
-    def _span_of(wall: Mapping[str, Any]) -> str:
-        return str(wall.get("span") or "") or "(run)"
-
-    @staticmethod
-    def _span_matches(span_filter: str | None, span: str) -> bool:
-        if span_filter is None:
-            return True
-        return span == span_filter or span.startswith(span_filter + "/")
-
-    @staticmethod
-    def _sample_weight(wall: Mapping[str, Any]) -> float:
-        interval = wall.get("interval_s")
-        try:
-            weight = float(interval) if interval is not None else 0.0
-        except (TypeError, ValueError):
-            weight = 0.0
-        return weight if weight > 0 else 1.0
-
-    def spans(self) -> dict[str, float]:
-        """Exclusive weight per span path, heaviest first.
-
-        Span paths are the *innermost* paths the profiler stamped;
-        experiment-level aggregation happens via the prefix-matching
-        span filters on :meth:`hotspots`/:meth:`shares`.
-        """
-        out: dict[str, float] = {}
-        for event in self.samples:
-            wall = event.get("wall", {})
-            span = self._span_of(wall)
-            out[span] = out.get(span, 0.0) + self._sample_weight(wall)
-        for event in self.stats:
-            wall = event.get("wall", {})
-            span = self._span_of(wall)
-            out[span] = out.get(span, 0.0) + float(wall.get("tottime_s", 0.0) or 0.0)
-        return dict(sorted(out.items(), key=lambda kv: kv[1], reverse=True))
-
-    def total_weight(self, span: str | None = None) -> float:
-        """The sum of exclusive weights inside a span subtree (or the run)."""
-        return sum(
-            weight
-            for path, weight in self.spans().items()
-            if self._span_matches(span, path)
-        )
-
-    # -- hotspots ----------------------------------------------------------
-
-    def hotspots(self, span: str | None = None) -> list[Hotspot]:
-        """Per-function costs inside a span subtree, largest self first."""
-        table: dict[tuple[str, str, int], Hotspot] = {}
-
-        def slot(func: str, file: str, line: int) -> Hotspot:
-            key = (func, file, line)
-            if key not in table:
-                table[key] = Hotspot(func=func, file=file, line=line)
-            return table[key]
-
-        for event in self.samples:
-            wall = event.get("wall", {})
-            if not self._span_matches(span, self._span_of(wall)):
-                continue
-            stack = wall.get("stack") or []
-            if not stack:
-                continue
-            weight = self._sample_weight(wall)
-            process = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
-            func, file, line = stack[-1]
-            leaf = slot(str(func), str(file), int(line))
-            leaf.self_weight += weight
-            leaf.by_process[process] = leaf.by_process.get(process, 0.0) + weight
-            seen: set[tuple[str, str, int]] = set()
-            for func, file, line in stack:
-                frame = (str(func), str(file), int(line))
-                if frame in seen:
-                    continue  # recursion: inclusive time counts once
-                seen.add(frame)
-                slot(*frame).total_weight += weight
-        for event in self.stats:
-            wall = event.get("wall", {})
-            if not self._span_matches(span, self._span_of(wall)):
-                continue
-            process = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
-            entry = slot(
-                str(wall.get("func", "?")),
-                str(wall.get("file", "?")),
-                int(wall.get("line", 0) or 0),
-            )
-            tottime = float(wall.get("tottime_s", 0.0) or 0.0)
-            entry.self_weight += tottime
-            entry.total_weight += float(wall.get("cumtime_s", 0.0) or 0.0)
-            entry.by_process[process] = (
-                entry.by_process.get(process, 0.0) + tottime
-            )
-        return sorted(
-            table.values(),
-            key=lambda h: (-h.self_weight, -h.total_weight, h.key),
-        )
-
-    def shares(
-        self, span: str | None = None, top: int | None = None
-    ) -> dict[str, float]:
-        """Each function's fraction of a span's exclusive weight.
-
-        Keyed by the line-free :attr:`Hotspot.key`; rows for the same
-        function at different lines merge.  This is the quantity the
-        :class:`repro.obs.baseline.HotspotBaseline` gate records and
-        compares.
-        """
-        total = self.total_weight(span)
-        if total <= 0:
-            return {}
-        merged: dict[str, float] = {}
-        for hotspot in self.hotspots(span):
-            merged[hotspot.key] = merged.get(hotspot.key, 0.0) + (
-                hotspot.self_weight / total
-            )
-        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-        if top is not None:
-            ranked = ranked[:top]
-        return dict(ranked)
-
-    def processes(self, span: str | None = None) -> list[dict[str, Any]]:
-        """Per-process sample totals: the coordinator/worker split."""
-        out: dict[str, dict[str, Any]] = {}
-        for event in self.samples + self.stats:
-            wall = event.get("wall", {})
-            if not self._span_matches(span, self._span_of(wall)):
-                continue
-            key = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
-            slot = out.setdefault(
-                key,
-                {
-                    "pid": str(wall.get("pid", "?")),
-                    "role": str(wall.get("role", "?")),
-                    "n_samples": 0,
-                    "weight_s": 0.0,
-                },
-            )
-            slot["n_samples"] += 1
-            if event["kind"] == PROFILE_KIND:
-                slot["weight_s"] += self._sample_weight(wall)
-            else:
-                slot["weight_s"] += float(wall.get("tottime_s", 0.0) or 0.0)
-
-        def order(slot: dict[str, Any]) -> tuple[int, str]:
-            return (0 if slot["role"] == "coordinator" else 1, slot["pid"])
-
-        return sorted(out.values(), key=order)
-
-    # -- flamegraph export -------------------------------------------------
-
-    def collapsed(self, span: str | None = None) -> dict[str, float]:
-        """Collapsed stacks: ``"frame;frame;frame" -> weight``.
-
-        Sampling mode only — deterministic cProfile rows carry no stacks,
-        so they collapse to nothing (callers should check :attr:`mode`).
-        """
-        out: dict[str, float] = {}
-        for event in self.samples:
-            wall = event.get("wall", {})
-            if not self._span_matches(span, self._span_of(wall)):
-                continue
-            stack = wall.get("stack") or []
-            if not stack:
-                continue
-            label = ";".join(
-                f"{func} ({file}:{line})".replace(";", ",")
-                for func, file, line in stack
-            )
-            out[label] = out.get(label, 0.0) + self._sample_weight(wall)
-        return out
-
-    def flamegraph(self, span: str | None = None) -> str:
-        """The stream in collapsed-stack format (flamegraph.pl / speedscope).
-
-        One ``stack count`` line per unique stack; counts are sample
-        counts scaled back out of the weights, so the file stays valid
-        for tooling that expects integers.  Deterministic-mode streams
-        carry no stacks, so asking them for a flamegraph is an error,
-        not an empty file.
-        """
-        if self.stats and not self.samples:
-            raise TraceError(
-                "deterministic profiles carry no stacks — record with "
-                "'--profile' (sampling mode) for a flamegraph"
-            )
-        lines = []
-        for label, weight in sorted(self.collapsed(span).items()):
-            count = max(1, round(weight / DEFAULT_FLAME_UNIT_S))
-            lines.append(f"{label} {count}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    # -- summary -----------------------------------------------------------
-
-    def summary(self, top: int = 10) -> dict[str, Any]:
-        """The whole profile analysis as one JSON-able document."""
-        total = self.total_weight()
-        return {
-            "schema": SCHEMA_VERSION,
-            "source": self.source,
-            "mode": self.mode,
-            "truncated": self.truncated,
-            "n_samples": self.n_samples,
-            "n_stat_rows": len(self.stats),
-            "total_weight_s": total,
-            "spans": self.spans(),
-            "processes": self.processes(),
-            "hotspots": [
-                {
-                    **h.as_dict(),
-                    "self_frac": h.self_weight / total if total > 0 else 0.0,
-                    "total_frac": h.total_weight / total if total > 0 else 0.0,
-                }
-                for h in self.hotspots()[:top]
-            ],
-        }
-
-
-#: Weight-to-count unit for flamegraph export: one count per default
-#: sampler tick, so a 5 ms-interval run exports its raw sample counts.
-DEFAULT_FLAME_UNIT_S = 0.005
-
-
-def render_hotspots(
-    profile: ProfileReader, *, top: int = 10, span: str | None = None
-) -> str:
-    """Per-span hotspot tables (``repro profile``); returned, never printed."""
-    blocks: list[str] = []
-    head = Table(["field", "value"], title="profile summary", decimals=4)
-    head.add_row(["source", profile.source or "(in-memory)"])
-    head.add_row(["mode", profile.mode])
-    head.add_row(["samples", profile.n_samples])
-    if profile.stats:
-        head.add_row(["stat rows", len(profile.stats)])
-    head.add_row(["truncated tail", profile.truncated])
-    if span is not None:
-        head.add_row(["span filter", span])
-    blocks.append(head.render())
-
-    if profile.mode == "empty":
-        blocks.append(
-            "no profile ticks landed — the run finished inside one sampling "
-            "interval; lower the interval (--profile 0.001) or use "
-            "--profile deterministic"
-        )
-        return "\n\n".join(blocks)
-
-    spans = {
-        path: weight
-        for path, weight in profile.spans().items()
-        if profile._span_matches(span, path)
-    }
-    run_total = sum(spans.values())
-    if len(spans) > 1:
-        table = Table(["span", "self s", "share"], title="spans", decimals=3)
-        for path, weight in spans.items():
-            table.add_row([
-                path, weight,
-                f"{100 * weight / run_total:.0f}%" if run_total > 0 else "-",
-            ])
-        blocks.append(table.render())
-
-    total = profile.total_weight(span)
-    hotspots = profile.hotspots(span)[:top]
-    if hotspots:
-        table = Table(
-            ["function", "file:line", "self s", "self %", "total %", "procs"],
-            title="hotspots" if span is None else f"hotspots — {span}",
-            decimals=3,
-        )
-        for h in hotspots:
-            table.add_row([
-                h.func, f"{h.file}:{h.line}", h.self_weight,
-                f"{100 * h.self_weight / total:.1f}" if total > 0 else "-",
-                f"{100 * min(1.0, h.total_weight / total):.1f}"
-                if total > 0 else "-",
-                len(h.by_process),
-            ])
-        blocks.append(table.render())
-
-    processes = profile.processes(span)
-    if len(processes) > 1:
-        table = Table(
-            ["process", "role", "samples", "weight s", "share"],
-            title="per-process split", decimals=3,
-        )
-        for slot in processes:
-            table.add_row([
-                slot["pid"], slot["role"], slot["n_samples"], slot["weight_s"],
-                f"{100 * slot['weight_s'] / total:.0f}%" if total > 0 else "-",
-            ])
-        blocks.append(table.render())
-    return "\n\n".join(blocks)
-
-
-# ---------------------------------------------------------------------------
-# Serve-side stitching: access log ⋈ run directories
-
-
-class ServeTraceIndex:
-    """Stitch a serve root's access log to its run directories.
-
-    The serving stack leaves two artifact families under one root: the
-    ``access.jsonl`` request/terminal lines
-    (:class:`repro.serve.access.AccessLog`) and one run directory per
-    executed run (``events.jsonl``/``manifest.json``/``results.json``).
-    This index joins them on ``trace_id``: an HTTP request line names the
-    trace and the run it touched; the run's terminal line names *every*
-    trace that joined the execution (coalescing); the run directory's
-    events carry the same trace_id in their volatile half.  Stitching is
-    therefore a two-hop walk — trace_id → terminal line → run directory —
-    with the request lines as the per-hop timing source.
-
-    Powers ``repro trace --serve <root>`` (per-request timelines) and
-    ``repro serve-report`` (fleet aggregates).
-    """
-
-    def __init__(
-        self,
-        records: Sequence[Mapping[str, Any]],
-        *,
-        root: str | os.PathLike | None = None,
-        truncated: bool = False,
-        source: str | None = None,
-    ) -> None:
-        self.root = Path(root) if root is not None else None
-        self.truncated = truncated
-        self.source = source
-        self.requests = [
-            dict(r) for r in records if r.get("kind") == "request"
-        ]
-        self.terminals = [
-            dict(r) for r in records if r.get("kind") == "terminal"
-        ]
-        self._terminal_by_run = {
-            str(t["run_id"]): t for t in self.terminals if "run_id" in t
-        }
-
-    @classmethod
-    def load(cls, source: str | os.PathLike) -> "ServeTraceIndex":
-        """Read ``access.jsonl`` from a serve root directory or file path.
-
-        A rotated segment (``access.jsonl.1``) is read first when
-        present, so stitching and fleet aggregates span the rotation
-        boundary.
-        """
-        path, records, truncated = _read_stream(
-            source, ACCESS_LOG_NAME, "no access log at {path}"
-        )
-        return cls(
-            records, root=path.parent, truncated=truncated, source=str(path)
-        )
-
-    def __len__(self) -> int:
-        return len(self.requests) + len(self.terminals)
-
-    # -- lookups ------------------------------------------------------------
-
-    def trace_ids(self) -> list[str]:
-        """Every trace_id the log names, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for request in self.requests:
-            trace_id = request.get("trace_id")
-            if trace_id:
-                seen.setdefault(str(trace_id), None)
-        for terminal in self.terminals:
-            for trace_id in terminal.get("trace_ids", ()):
-                seen.setdefault(str(trace_id), None)
-        return list(seen)
-
-    def requests_of(self, trace_id: str) -> list[dict[str, Any]]:
-        """The HTTP request lines recorded under one trace."""
-        return [r for r in self.requests if r.get("trace_id") == trace_id]
-
-    def terminal_of(self, trace_id: str) -> dict[str, Any] | None:
-        """The terminal line of the run a trace's work landed on.
-
-        A coalesced joiner finds the *shared* run here: its trace_id is
-        in the run's ``trace_ids`` even though another trace started it.
-        """
-        for terminal in self.terminals:
-            if trace_id in terminal.get("trace_ids", ()):
-                return terminal
-        for request in self.requests_of(trace_id):
-            run_id = request.get("run_id")
-            if run_id in self._terminal_by_run:
-                return self._terminal_by_run[run_id]
-        return None
-
-    def run_dir_of(self, run_id: str) -> Path | None:
-        if self.root is None:
-            return None
-        candidate = self.root / run_id
-        return candidate if candidate.is_dir() else None
-
-    # -- stitching -----------------------------------------------------------
-
-    def stitch(self) -> dict[str, dict[str, Any]]:
-        """Join every run directory under the root to its trace_ids.
-
-        Returns ``run_id -> {"trace_ids", "state", "run_dir",
-        "has_events"}`` covering (a) every run the access log names and
-        (b) every run directory on disk that holds an ``events.jsonl``,
-        so a run nothing stitched to shows up with empty ``trace_ids`` —
-        the CI gate asserts there are none.
-        """
-        out: dict[str, dict[str, Any]] = {}
-
-        def entry(run_id: str) -> dict[str, Any]:
-            if run_id not in out:
-                run_dir = self.run_dir_of(run_id)
-                out[run_id] = {
-                    "trace_ids": [],
-                    "state": None,
-                    "run_dir": None if run_dir is None else str(run_dir),
-                    "has_events": bool(
-                        run_dir is not None
-                        and (run_dir / "events.jsonl").exists()
-                    ),
-                }
-            return out[run_id]
-
-        for terminal in self.terminals:
-            run_id = terminal.get("run_id")
-            if not run_id:
-                continue
-            slot = entry(str(run_id))
-            slot["state"] = terminal.get("state")
-            for trace_id in terminal.get("trace_ids", ()):
-                if trace_id not in slot["trace_ids"]:
-                    slot["trace_ids"].append(trace_id)
-        for request in self.requests:
-            run_id, trace_id = request.get("run_id"), request.get("trace_id")
-            if not run_id or not trace_id:
-                continue
-            # Cache answers never create a directory; only stitch
-            # requests that touched a materialized run.
-            if self.run_dir_of(str(run_id)) is None:
-                continue
-            slot = entry(str(run_id))
-            if trace_id not in slot["trace_ids"]:
-                slot["trace_ids"].append(trace_id)
-        if self.root is not None and self.root.is_dir():
-            for child in sorted(self.root.iterdir()):
-                if child.is_dir() and (child / "events.jsonl").exists():
-                    entry(child.name)
-        return dict(sorted(out.items()))
-
-    def timeline(self, trace_id: str) -> dict[str, Any]:
-        """One request's end-to-end timeline: queue → execute → respond.
-
-        Inlines the run's span critical path when the stitched run
-        directory holds a readable event stream.
-        """
-        requests = self.requests_of(trace_id)
-        terminal = self.terminal_of(trace_id)
-        run_id = (
-            str(terminal["run_id"]) if terminal and terminal.get("run_id")
-            else next(
-                (str(r["run_id"]) for r in requests if r.get("run_id")), None
-            )
-        )
-        timeline: dict[str, Any] = {
-            "trace_id": trace_id,
-            "requests": requests,
-            "terminal": terminal,
-            "run_id": run_id,
-            "state": terminal.get("state") if terminal else None,
-            "queue_latency_s": (
-                terminal.get("queue_latency_s") if terminal else None
-            ),
-            "execute_wall_s": terminal.get("wall_s") if terminal else None,
-            "coalesced": any(r.get("coalesced") for r in requests),
-            "cached": any(r.get("cached") for r in requests),
-            "critical_path": None,
-            "hotspots": None,
-        }
-        run_dir = self.run_dir_of(run_id) if run_id else None
-        if run_dir is not None and (run_dir / "events.jsonl").exists():
-            try:
-                timeline["critical_path"] = (
-                    TraceReader.load(run_dir).critical_path()
-                )
-            except TraceError:
-                pass  # a torn worker stream must not sink the timeline
-        if run_dir is not None and (run_dir / PROFILE_LOG_NAME).exists():
-            # The run executed under --profile: inline its top hotspots so
-            # `repro trace --serve` answers "why was this request slow"
-            # down to the function level.
-            try:
-                profile = ProfileReader.load(run_dir)
-                total = profile.total_weight()
-                timeline["hotspots"] = [
-                    {
-                        **h.as_dict(),
-                        "self_frac": (
-                            h.self_weight / total if total > 0 else 0.0
-                        ),
-                    }
-                    for h in profile.hotspots()[:5]
-                ]
-            except TraceError:
-                pass  # a torn profile stream must not sink the timeline
-        return timeline
-
-    # -- fleet aggregates ----------------------------------------------------
-
-    def fleet_report(self) -> dict[str, Any]:
-        """Fleet-level aggregates over the whole access log.
-
-        Request/queue latency histograms (with p50/p95/p99), HTTP status
-        and run-state breakdowns, per-experiment cache/error attribution,
-        and the stitching table — one JSON-able document, the same data
-        ``repro serve-report`` renders as text.
-        """
-        from repro.obs.metrics import Histogram
-
-        latency = Histogram("serve.request_latency")
-        queue_latency = Histogram("serve.queue_latency")
-        by_status: dict[str, int] = {}
-        per_exp: dict[str, dict[str, int]] = {}
-
-        def exp_slot(exp_id: str) -> dict[str, int]:
-            return per_exp.setdefault(
-                exp_id,
-                {"requests": 0, "cache_hits": 0, "coalesced": 0, "failed": 0},
-            )
-
-        n_cached = n_coalesced = 0
-        for request in self.requests:
-            code = str(request.get("status"))
-            by_status[code] = by_status.get(code, 0) + 1
-            wall = request.get("wall_s")
-            if isinstance(wall, (int, float)) and wall >= 0:
-                latency.observe(float(wall))
-            cached = bool(request.get("cached"))
-            coalesced = bool(request.get("coalesced"))
-            n_cached += cached
-            n_coalesced += coalesced
-            for exp_id in request.get("ids", ()):
-                slot = exp_slot(str(exp_id))
-                slot["requests"] += 1
-                slot["cache_hits"] += cached
-                slot["coalesced"] += coalesced
-        runs_by_state: dict[str, int] = {}
-        for terminal in self.terminals:
-            state = str(terminal.get("state"))
-            runs_by_state[state] = runs_by_state.get(state, 0) + 1
-            queued = terminal.get("queue_latency_s")
-            if isinstance(queued, (int, float)) and queued >= 0:
-                queue_latency.observe(float(queued))
-            if state == "failed":
-                for exp_id in terminal.get("ids", ()):
-                    exp_slot(str(exp_id))["failed"] += 1
-        stitched = self.stitch()
-        unstitched = [
-            run_id for run_id, slot in stitched.items()
-            if not slot["trace_ids"]
-        ]
-        return {
-            "source": self.source,
-            "truncated": self.truncated,
-            "requests": {
-                "total": len(self.requests),
-                "by_status": dict(sorted(by_status.items())),
-                "cached": n_cached,
-                "coalesced": n_coalesced,
-            },
-            "request_latency": latency.snapshot(),
-            "queue_latency": queue_latency.snapshot(),
-            "runs": {
-                "total": len(self.terminals),
-                "by_state": dict(sorted(runs_by_state.items())),
-            },
-            "experiments": dict(sorted(per_exp.items())),
-            "stitching": {
-                "n_run_dirs": len(stitched),
-                "n_trace_ids": len(self.trace_ids()),
-                "unstitched": unstitched,
-                "runs": {
-                    run_id: slot["trace_ids"]
-                    for run_id, slot in stitched.items()
-                },
-            },
-        }
-
-
-def _render_latency_table(name: str, snapshot: Mapping[str, Any]) -> str:
-    """One histogram snapshot as a table: quantiles, then the buckets."""
-    table = Table(["field", "value"], title=name, decimals=4)
-    table.add_row(["count", snapshot["count"]])
-    table.add_row(["sum s", snapshot["sum"]])
-    for quantile in ("p50", "p95", "p99"):
-        table.add_row([quantile, snapshot[quantile]])
-    for bucket in snapshot["buckets"]:
-        le = bucket["le"]
-        label = le if isinstance(le, str) else f"{le:g}"
-        table.add_row([f"le {label}", bucket["count"]])
-    return table.render()
-
-
-def render_serve_trace(
-    index: ServeTraceIndex, trace_id: str | None = None
-) -> str:
-    """Per-request timelines from a serve root's stitched access log.
-
-    Without ``trace_id``: one row per trace — the fleet at a glance.
-    With it: that request's hop table, queue/execute timing, and the
-    run's critical path inlined.
-    """
-    if trace_id is None:
-        ids = index.trace_ids()
-        if not ids:
-            return "no traces in this access log"
-        table = Table(
-            ["trace id", "requests", "run", "state", "queue s",
-             "exec s", "flags"],
-            title="serve traces", decimals=3,
-        )
-        for tid in ids:
-            timeline = index.timeline(tid)
-            flags = ",".join(
-                flag for flag, on in (
-                    ("cached", timeline["cached"]),
-                    ("coalesced", timeline["coalesced"]),
-                ) if on
-            ) or "-"
-            table.add_row([
-                tid, len(timeline["requests"]),
-                timeline["run_id"] or "-", timeline["state"] or "-",
-                timeline["queue_latency_s"]
-                if timeline["queue_latency_s"] is not None else "-",
-                timeline["execute_wall_s"]
-                if timeline["execute_wall_s"] is not None else "-",
-                flags,
-            ])
-        return table.render()
-    timeline = index.timeline(trace_id)
-    if not timeline["requests"] and timeline["terminal"] is None:
-        return f"trace {trace_id} not found in this access log"
-    blocks: list[str] = []
-    head = Table(["field", "value"], title=f"trace {trace_id}", decimals=4)
-    head.add_row(["run", timeline["run_id"] or "-"])
-    head.add_row(["state", timeline["state"] or "-"])
-    head.add_row(["queue latency s", timeline["queue_latency_s"]
-                  if timeline["queue_latency_s"] is not None else "-"])
-    head.add_row(["execute wall s", timeline["execute_wall_s"]
-                  if timeline["execute_wall_s"] is not None else "-"])
-    head.add_row(["cached", timeline["cached"]])
-    head.add_row(["coalesced", timeline["coalesced"]])
-    if timeline["terminal"] is not None:
-        head.add_row([
-            "joined traces",
-            len(timeline["terminal"].get("trace_ids", ())),
-        ])
-    blocks.append(head.render())
-    if timeline["requests"]:
-        hops = Table(
-            ["method", "path", "status", "wall s"],
-            title="request hops", decimals=4,
-        )
-        for request in timeline["requests"]:
-            hops.add_row([
-                request.get("method", "?"), request.get("path", "?"),
-                request.get("status", "-"), request.get("wall_s", 0.0),
-            ])
-        blocks.append(hops.render())
-    if timeline["critical_path"]:
-        path = Table(["span path", "total s", "of root"],
-                     title="run critical path", decimals=3)
-        for hop in timeline["critical_path"]:
-            path.add_row([
-                hop["path"], hop["dur_s"] if hop["dur_s"] is not None else 0.0,
-                f"{100 * hop['fraction']:.0f}%",
-            ])
-        blocks.append(path.render())
-    if timeline["hotspots"]:
-        spots = Table(["function", "file:line", "self s", "self %"],
-                      title="run hotspots", decimals=3)
-        for h in timeline["hotspots"]:
-            spots.add_row([
-                h["func"], f"{h['file']}:{h['line']}", h["self_s"],
-                f"{100 * h['self_frac']:.1f}",
-            ])
-        blocks.append(spots.render())
-    return "\n\n".join(blocks)
-
-
-def render_serve_report(index: ServeTraceIndex) -> str:
-    """The fleet aggregates as text tables (``repro serve-report``)."""
-    report = index.fleet_report()
-    blocks: list[str] = []
-    head = Table(["field", "value"], title="serve fleet report", decimals=3)
-    head.add_row(["source", report["source"] or "(in-memory)"])
-    head.add_row(["requests", report["requests"]["total"]])
-    for code, count in report["requests"]["by_status"].items():
-        head.add_row([f"http {code}", count])
-    head.add_row(["cache answers", report["requests"]["cached"]])
-    head.add_row(["coalesced joins", report["requests"]["coalesced"]])
-    head.add_row(["executed runs", report["runs"]["total"]])
-    for state, count in report["runs"]["by_state"].items():
-        head.add_row([f"runs {state}", count])
-    head.add_row(["run dirs stitched",
-                  report["stitching"]["n_run_dirs"]
-                  - len(report["stitching"]["unstitched"])])
-    head.add_row(["run dirs unstitched",
-                  len(report["stitching"]["unstitched"])])
-    blocks.append(head.render())
-    if report["request_latency"]["count"]:
-        blocks.append(_render_latency_table(
-            "request latency (s)", report["request_latency"]
-        ))
-    if report["queue_latency"]["count"]:
-        blocks.append(_render_latency_table(
-            "queue latency (s)", report["queue_latency"]
-        ))
-    if report["experiments"]:
-        table = Table(
-            ["experiment", "requests", "cache hits", "coalesced", "failed"],
-            title="per-experiment breakdown", decimals=3,
-        )
-        for exp_id, slot in report["experiments"].items():
-            table.add_row([
-                exp_id, slot["requests"], slot["cache_hits"],
-                slot["coalesced"], slot["failed"],
-            ])
-        blocks.append(table.render())
-    return "\n\n".join(blocks)

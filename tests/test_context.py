@@ -21,9 +21,9 @@ from repro.obs.context import (
 )
 from repro.obs.events import EventLog, read_events, strip_volatile
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, get_metrics
+from repro.obs.jsonl import TraceError
 from repro.obs.prometheus import render_prometheus
-from repro.obs.trace import ACCESS_LOG_NAME, ServeTraceIndex, TraceError
-from repro.serve.access import AccessLog
+from repro.serve.access import ACCESS_LOG_NAME, AccessLog, ServeTraceIndex
 
 
 class TestTraceContext:
@@ -344,6 +344,27 @@ class TestServeTraceIndex:
         assert stitched["run-0002"]["trace_ids"] == ["ddd"]
         assert stitched["run-orphan"]["trace_ids"] == []
         assert "run-cache" not in stitched  # no directory: cache pseudo-run
+
+    def test_overview_reads_only_access_lines(self, tmp_path, monkeypatch):
+        from repro.obs.profile import ProfileReader
+        from repro.obs.trace import TraceReader
+        from repro.serve.access import render_serve_trace
+
+        for run_id in ("run-0001", "run-0002"):
+            (tmp_path / run_id).mkdir()
+            (tmp_path / run_id / "events.jsonl").write_text("")
+            (tmp_path / run_id / "profile.jsonl").write_text("")
+
+        def refuse(source):
+            raise AssertionError("the overview must not read run streams")
+
+        monkeypatch.setattr(TraceReader, "load", refuse)
+        monkeypatch.setattr(ProfileReader, "load", refuse)
+        text = render_serve_trace(_synthetic_index(root=tmp_path))
+        assert "serve traces" in text
+        for trace_id in ("aaa", "bbb", "ccc", "ddd"):
+            assert trace_id in text
+        assert "run-0001" in text and "failed" in text
 
     def test_fleet_report_aggregates(self, tmp_path):
         (tmp_path / "run-0001").mkdir()

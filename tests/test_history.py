@@ -170,6 +170,26 @@ def test_registry_register_and_get(tmp_path):
         registry.get("run-missing")
 
 
+def test_register_appends_without_reading_the_index(tmp_path, monkeypatch):
+    import repro.obs.history as history
+
+    run_dir = make_run(tmp_path, "run-1")
+    registry = RunRegistry(tmp_path)
+
+    def refuse(path):
+        raise AssertionError("register must not read the index")
+
+    monkeypatch.setattr(history, "read_jsonl", refuse)
+    registry.register(run_dir)
+    registry.register(run_dir)
+    lines = registry.index_path.read_text().splitlines()
+    assert [json.loads(line)["run_id"] for line in lines] == ["run-1", "run-1"]
+    monkeypatch.undo()
+    # The duplicate resolves on read: the last line wins.
+    assert [r.run_id for r in registry.scan()] == ["run-1"]
+    assert registry.index_path.read_text().count("\n") == 2
+
+
 def test_diff_of_identical_runs_is_clean(tmp_path):
     make_run(tmp_path, "run-a")
     make_run(tmp_path, "run-b")

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro import obs
-from repro.obs.jsonl import JsonlFollower, JsonlWriter, read_jsonl
-from repro.obs.trace import ProfileReader, ServeTraceIndex, TraceError, TraceReader
+from repro.obs.jsonl import JsonlFollower, JsonlWriter, TraceError, read_jsonl
+from repro.obs.profile import ProfileReader
+from repro.obs.trace import TraceReader
 from repro.obs.watch import EventFollower
+from repro.serve.access import ServeTraceIndex
 
 
 def event(seq, kind="tick"):

@@ -21,6 +21,7 @@ from repro.obs.baseline import (
     HotspotBaseline,
 )
 from repro.obs.events import VOLATILE_KINDS, EventLog
+from repro.obs.jsonl import TraceError
 from repro.obs.profile import (
     DEFAULT_INTERVAL_S,
     PROFILE_ENV,
@@ -30,14 +31,15 @@ from repro.obs.profile import (
     PROFILE_SPAN_ENV,
     STAT_KIND,
     DeterministicProfiler,
+    ProfileReader,
     SamplingProfiler,
     attach_worker_profiler,
     capture_stack,
+    render_hotspots,
     resolve_profile,
     short_file,
 )
 from repro.obs.resources import strip_samples
-from repro.obs.trace import ProfileReader, TraceError, render_hotspots
 from repro.parallel import pmap
 
 

@@ -590,8 +590,7 @@ class TestAccessLogRotation:
                 assert json.loads(line)["kind"] == "request"
 
     def test_index_stitches_across_the_rotation_boundary(self, tmp_path):
-        from repro.obs.trace import ServeTraceIndex
-        from repro.serve.access import AccessLog
+        from repro.serve.access import AccessLog, ServeTraceIndex
 
         log = AccessLog(tmp_path / "access.jsonl", max_bytes=800)
         self._fill(log, 12)
@@ -631,8 +630,7 @@ class TestAccessLogRotation:
         assert AccessLog(tmp_path / "b.jsonl").max_bytes == DEFAULT_MAX_BYTES
 
     def test_rotated_fleet_report_counts_both_segments(self, tmp_path):
-        from repro.obs.trace import ServeTraceIndex
-        from repro.serve.access import AccessLog
+        from repro.serve.access import AccessLog, ServeTraceIndex
 
         log = AccessLog(tmp_path / "access.jsonl", max_bytes=800)
         self._fill(log, 12)

@@ -8,8 +8,8 @@ import pytest
 
 from repro import obs
 from repro.exp.cli import main
+from repro.obs.jsonl import TraceError
 from repro.obs.trace import (
-    TraceError,
     TraceReader,
     render_critical_path,
     render_summary,
@@ -235,18 +235,72 @@ class TestClusterContention:
 
     def test_traced_policy_run_matches_schedule_metrics(self):
         from repro.cluster.policies import naive_deadline_submission
-        from repro.cluster.study import run_policy_traced
+        from repro.cluster.study import metrics_and_contention
         from repro.cluster.workload import default_reu_projects
 
         projects = default_reu_projects()
         times = naive_deadline_submission(projects, seed=1)
-        metrics, contention = run_policy_traced(times, 6, projects=projects)
-        assert contention is not None
+        metrics, contention = metrics_and_contention(times, 6, projects=projects)
         assert contention.n_jobs == metrics.n_jobs
         assert contention.makespan == pytest.approx(metrics.makespan)
         assert contention.mean_wait == pytest.approx(metrics.mean_wait)
         # The end-of-program crunch: the tail window is the busy one.
         assert contention.tail_utilization > contention.utilization
+
+    def test_record_fold_matches_event_fold(self):
+        """R1 folds job records; ``repro trace`` folds the same run's
+        events.  Every plan x shoot-out policy x pool size agrees bit
+        for bit."""
+        from repro.cluster.policies import (
+            naive_deadline_submission,
+            staged_batch_submission,
+            uniform_submission,
+        )
+        from repro.cluster.study import metrics_and_contention
+        from repro.cluster.workload import default_reu_projects
+
+        projects = default_reu_projects()
+        plans = (
+            naive_deadline_submission(projects, seed=1),
+            uniform_submission(projects, seed=1),
+            staged_batch_submission(projects),
+        )
+        policies = ("fifo", "backfill", "edf", "fairshare", "conservative",
+                    "hybrid-2")
+        for n_gpus in (2, 3, 6):
+            for times in plans:
+                for policy in policies:
+                    with obs.capture_events() as events:
+                        _, from_records = metrics_and_contention(
+                            times, n_gpus, policy, projects=projects
+                        )
+                    (from_events,) = TraceReader.from_records(
+                        events
+                    ).cluster_runs()
+                    assert from_records.as_dict() == from_events.as_dict(), (
+                        n_gpus, policy
+                    )
+
+    def test_r1_values_do_not_depend_on_telemetry(self, monkeypatch):
+        from repro.api import RunRequest, canonical_results_bytes, execute_request
+
+        def r1_results():
+            summary = execute_request(
+                RunRequest(ids=("R1",), smoke=True, cache=False)
+            )
+            return canonical_results_bytes(summary.as_dict())
+
+        monkeypatch.delenv("REPRO_OBS_DISABLE", raising=False)
+        loud = r1_results()
+        monkeypatch.setenv("REPRO_OBS_DISABLE", "1")
+        quiet = r1_results()
+        assert loud == quiet
+        (r1,) = json.loads(quiet)["experiments"]
+        plans = r1["values"]["policies"]
+        assert set(plans) == {"naive deadline", "uniform", "staged batches"}
+        for values in plans.values():
+            assert values["contention"] is not None
+            assert values["contention"]["n_jobs"] > 0
 
 
 class TestCacheAttribution:
